@@ -79,6 +79,7 @@ Scenario makeOfficeScenario() {
                            .rcsJitter = 0.12,
                            .multipathObserver = radarPos},
       fault::FaultConfig{},
+      MultiRadarAttackConfig{},
   };
 }
 
@@ -102,6 +103,7 @@ Scenario makeHomeScenario() {
                            .rcsJitter = 0.10,
                            .multipathObserver = radarPos},
       fault::FaultConfig{},
+      MultiRadarAttackConfig{},
   };
 }
 

@@ -11,6 +11,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/fma_complex.h"
 
 // Spurious -Wmaybe-uninitialized from GCC's unmasked _mm512 permute
@@ -83,31 +86,35 @@ Complex beamformDotAvx512(const Complex* s, const Complex* w, std::size_t n) {
 void beamformRowAvx512(const Complex* s, const Complex* w,
                        const double* wReT, const double* wImT,
                        std::size_t nAnt, std::size_t nAngles, double* out) {
+  (void)w;
   // Eight angle lanes per vector; within a lane the op chain is exactly
   // beamformDotFmaRef + re*re + im*im, so every lane matches the scalar
   // per-angle sweep bit for bit. s[k] broadcasts; the steering factors
-  // stream from the transposed deinterleaved planes.
-  const std::size_t nA8 = nAngles & ~std::size_t{7};
-  const std::size_t n4 = nAnt & ~std::size_t{3};
-  std::size_t a = 0;
-  for (; a < nA8; a += 8) {
+  // stream from the transposed deinterleaved planes. The last
+  // nAngles % 8 angles run the same chain in one masked iteration: lanes
+  // outside the mask load zeros and are never stored.
+  for (std::size_t a = 0; a < nAngles; a += 8) {
+    const std::size_t lanes = std::min<std::size_t>(8, nAngles - a);
+    const __mmask8 m = static_cast<__mmask8>((1u << lanes) - 1u);
     __m512d pre[4], pim[4];
     for (int j = 0; j < 4; ++j) {
       pre[j] = _mm512_setzero_pd();
       pim[j] = _mm512_setzero_pd();
     }
-    std::size_t k = 0;
-    for (; k < n4; ++k) {
-      const __m512d wre = _mm512_loadu_pd(wReT + k * nAngles + a);
-      const __m512d wim = _mm512_loadu_pd(wImT + k * nAngles + a);
+    // fmaComplexMul elementwise for antenna k: re = fma(s.re, w.re,
+    // -(s.im*w.im)), im = fma(s.im, w.re, s.re*w.im).
+    const auto product = [&](std::size_t k) {
+      const __m512d wre = _mm512_maskz_loadu_pd(m, wReT + k * nAngles + a);
+      const __m512d wim = _mm512_maskz_loadu_pd(m, wImT + k * nAngles + a);
       const __m512d sre = _mm512_set1_pd(s[k].real());
       const __m512d sim = _mm512_set1_pd(s[k].imag());
-      // fmaComplexMul elementwise: re = fma(s.re, w.re, -(s.im*w.im)),
-      // im = fma(s.im, w.re, s.re*w.im).
-      const __m512d cre =
-          _mm512_fmsub_pd(sre, wre, _mm512_mul_pd(sim, wim));
-      const __m512d cim =
-          _mm512_fmadd_pd(sim, wre, _mm512_mul_pd(sre, wim));
+      return std::pair{_mm512_fmsub_pd(sre, wre, _mm512_mul_pd(sim, wim)),
+                       _mm512_fmadd_pd(sim, wre, _mm512_mul_pd(sre, wim))};
+    };
+    const std::size_t n4 = nAnt & ~std::size_t{3};
+    std::size_t k = 0;
+    for (; k < n4; ++k) {
+      const auto [cre, cim] = product(k);
       pre[k & 3] = _mm512_add_pd(pre[k & 3], cre);
       pim[k & 3] = _mm512_add_pd(pim[k & 3], cim);
     }
@@ -117,23 +124,15 @@ void beamformRowAvx512(const Complex* s, const Complex* w,
     __m512d accIm = _mm512_add_pd(_mm512_add_pd(pim[0], pim[2]),
                                   _mm512_add_pd(pim[1], pim[3]));
     for (; k < nAnt; ++k) {
-      const __m512d wre = _mm512_loadu_pd(wReT + k * nAngles + a);
-      const __m512d wim = _mm512_loadu_pd(wImT + k * nAngles + a);
-      const __m512d sre = _mm512_set1_pd(s[k].real());
-      const __m512d sim = _mm512_set1_pd(s[k].imag());
-      accRe = _mm512_add_pd(
-          accRe, _mm512_fmsub_pd(sre, wre, _mm512_mul_pd(sim, wim)));
-      accIm = _mm512_add_pd(
-          accIm, _mm512_fmadd_pd(sim, wre, _mm512_mul_pd(sre, wim)));
+      const auto [cre, cim] = product(k);
+      accRe = _mm512_add_pd(accRe, cre);
+      accIm = _mm512_add_pd(accIm, cim);
     }
     // Plain-rounded |.|^2, separate mul + add (never fused): matches
     // the scalar out[a] = re*re + im*im.
-    _mm512_storeu_pd(out + a, _mm512_add_pd(_mm512_mul_pd(accRe, accRe),
-                                            _mm512_mul_pd(accIm, accIm)));
-  }
-  for (; a < nAngles; ++a) {
-    const Complex d = beamformDotFmaRef(s, w + a * nAnt, nAnt);
-    out[a] = d.real() * d.real() + d.imag() * d.imag();
+    _mm512_mask_storeu_pd(out + a, m,
+                          _mm512_add_pd(_mm512_mul_pd(accRe, accRe),
+                                        _mm512_mul_pd(accIm, accIm)));
   }
 }
 

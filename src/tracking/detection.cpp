@@ -1,8 +1,10 @@
 #include "tracking/detection.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/vec2.h"
 
@@ -12,11 +14,20 @@ namespace {
 
 bool isLocalMax(const radar::RangeAngleMap& map, std::size_t r,
                 std::size_t a) {
-  const double v = map.at(r, a);
+  const std::size_t nA = map.numAngles();
+  const double* c = map.power.data() + r * nA + a;
+  const double v = *c;
+  if (r > 0 && r + 1 < map.numRanges() && a > 0 && a + 1 < nA) {
+    // Interior cell: all eight neighbours exist.
+    const double* up = c - nA;
+    const double* down = c + nA;
+    return !(up[-1] > v || up[0] > v || up[1] > v || c[-1] > v ||
+             c[1] > v || down[-1] > v || down[0] > v || down[1] > v);
+  }
   const std::size_t r0 = r > 0 ? r - 1 : r;
   const std::size_t r1 = std::min(r + 1, map.numRanges() - 1);
   const std::size_t a0 = a > 0 ? a - 1 : a;
-  const std::size_t a1 = std::min(a + 1, map.numAngles() - 1);
+  const std::size_t a1 = std::min(a + 1, nA - 1);
   for (std::size_t rr = r0; rr <= r1; ++rr) {
     for (std::size_t aa = a0; aa <= a1; ++aa) {
       if (rr == r && aa == a) continue;
@@ -26,16 +37,81 @@ bool isLocalMax(const radar::RangeAngleMap& map, std::size_t r,
   return true;
 }
 
+/// Median bracket: a strided sample of kSampleCells cells whose ranks
+/// kSampleCells / 2 -+ kSampleMargin bound the band of cells the exact
+/// selection runs on.
+constexpr std::size_t kSampleCells = 1024;
+constexpr std::size_t kSampleMargin = 40;
+/// Bit pattern of +inf. The doubles from +0.0 to +inf are exactly those
+/// whose bits do not exceed it, and they order like their bits.
+constexpr std::uint64_t kInfBits = 0x7FF0000000000000ull;
+
+/// The value std::nth_element puts at index n / 2 of a copy of \p cells
+/// (made in \p buf).
+double medianByCopy(const std::vector<double>& cells,
+                    std::vector<double>& buf) {
+  buf.assign(cells.begin(), cells.end());
+  const std::size_t mid = buf.size() / 2;
+  std::nth_element(buf.begin(), buf.begin() + mid, buf.end());
+  return buf[mid];
+}
+
+/// medianByCopy() without sorting the whole map: when every cell lies in
+/// [+0.0, +inf], equal cells have equal bits, so the rank-n/2 value is
+/// unique and selecting it from the band of cells inside a sampled
+/// bracket [lo, hi] returns the same bits. Falls back to medianByCopy()
+/// for small maps, for a bracket that misses rank n/2, and for maps with
+/// a NaN cell or a cell whose sign bit is set (negative or -0.0), where
+/// bit order and value order part ways.
+double medianCell(const std::vector<double>& cells,
+                  std::vector<double>& band) {
+  const std::size_t n = cells.size();
+  if (n == 0) return 0.0;
+  if (n < PeakDetector::kBracketMinCells) return medianByCopy(cells, band);
+  const double* p = cells.data();
+  const std::size_t stride = n / kSampleCells;
+  std::array<std::uint64_t, kSampleCells> sample{};
+  for (std::size_t i = 0; i < kSampleCells; ++i) {
+    sample[i] = std::bit_cast<std::uint64_t>(p[i * stride]);
+  }
+  const auto loIt = sample.begin() + (kSampleCells / 2 - kSampleMargin);
+  const auto hiIt = sample.begin() + (kSampleCells / 2 + kSampleMargin);
+  std::nth_element(sample.begin(), loIt, sample.end());
+  std::nth_element(loIt + 1, hiIt, sample.end());
+  const std::uint64_t lo = *loIt;
+  const std::uint64_t width = *hiIt - lo;
+
+  // One branch-free pass: count the cells below lo, compact the cells in
+  // [lo, hi] to the front of the band, and track the largest bit pattern.
+  band.resize(n);
+  double* out = band.data();
+  std::size_t below = 0;
+  std::size_t inBand = 0;
+  std::uint64_t maxBits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(p[i]);
+    out[inBand] = p[i];
+    below += b < lo;
+    inBand += b - lo <= width;
+    maxBits = std::max(maxBits, b);
+  }
+  const std::size_t k = n / 2;
+  if (maxBits > kInfBits || k < below || k >= below + inBand) {
+    return medianByCopy(cells, band);
+  }
+  const auto kth = band.begin() + static_cast<std::ptrdiff_t>(k - below);
+  std::nth_element(band.begin(), kth,
+                   band.begin() + static_cast<std::ptrdiff_t>(inBand));
+  return *kth;
+}
+
 }  // namespace
 
 PeakDetector::PeakDetector(DetectorOptions options) : options_(options) {}
 
 double PeakDetector::noiseFloor(const radar::RangeAngleMap& map) {
-  std::vector<double> cells = map.power;
-  if (cells.empty()) return 0.0;
-  const std::size_t mid = cells.size() / 2;
-  std::nth_element(cells.begin(), cells.begin() + mid, cells.end());
-  return cells[mid];
+  std::vector<double> band;
+  return medianCell(map.power, band);
 }
 
 void PeakDetector::suppressAndConvert(
@@ -87,17 +163,10 @@ void PeakDetector::detectInto(const radar::RangeAngleMap& map,
                               const radar::Processor& processor,
                               DetectScratch& scratch,
                               std::vector<Detection>& out) const {
-  // Same statistic as noiseFloor(), on the reused median scratch.
-  double floorValue = 0.0;
+  // Same statistic as noiseFloor(), on the reused band buffer.
+  const double threshold =
+      medianCell(map.power, scratch.cells) * options_.thresholdFactor;
   const std::size_t total = map.power.size();
-  scratch.cells.assign(map.power.begin(), map.power.end());
-  if (total > 0) {
-    const std::size_t mid = total / 2;
-    std::nth_element(scratch.cells.begin(), scratch.cells.begin() + mid,
-                     scratch.cells.end());
-    floorValue = scratch.cells[mid];
-  }
-  const double threshold = floorValue * options_.thresholdFactor;
   scratch.candidates.clear();
   // Flat row-major sweep (same (r, a) visit order as the nested loop).
   // Blocks with no cell above threshold -- the overwhelming majority --

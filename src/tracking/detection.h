@@ -57,7 +57,9 @@ struct DetectorOptions {
 };
 
 /// Reusable workspace for PeakDetector::detectInto(): the noise-floor
-/// median scratch and the candidate list. One instance per pipeline.
+/// band buffer (the map cells inside the median's sampled bracket, or a
+/// full copy of the map on the fallback path) and the candidate list.
+/// One instance per pipeline.
 struct DetectScratch {
   std::vector<double> cells;
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
@@ -70,7 +72,12 @@ class PeakDetector {
 
   const DetectorOptions& options() const { return options_; }
 
-  /// Noise floor estimate: the median cell power of the map.
+  /// Maps with fewer cells than this take the median by nth_element over
+  /// a full copy; larger ones first narrow it to a sampled bracket.
+  static constexpr std::size_t kBracketMinCells = 8192;
+
+  /// Noise floor estimate: the median cell power of the map, the value
+  /// std::nth_element puts at index size()/2 of a copy, bit for bit.
   static double noiseFloor(const radar::RangeAngleMap& map);
 
   /// Local maxima above noiseFloor * thresholdFactor, non-max suppressed,

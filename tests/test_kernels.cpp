@@ -472,6 +472,53 @@ TEST(KernelBeamform, CrossRegimeDifferenceWithinDocumentedBound) {
 }
 
 // ---------------------------------------------------------------------------
+// Angle-batched Eq. 2 row sweep: every level against its reference over
+// angle counts below, at and around the vector widths (nAngles < 8 runs
+// only the AVX-512 masked iteration) and the paper's 181, for 1-9
+// antennas. Eight sentinel cells past the row prove the masked store
+// writes nothing beyond nAngles.
+
+TEST(KernelBeamformRow, EveryLevelBitIdenticalToItsReference) {
+  constexpr std::size_t kSentinels = 8;
+  const double sentinel = std::nan("0x5eed");
+  std::vector<std::size_t> angleCounts;
+  for (std::size_t n = 1; n <= 17; ++n) angleCounts.push_back(n);
+  angleCounts.push_back(181);
+  for (std::size_t nAnt = 1; nAnt <= 9; ++nAnt) {
+    for (std::size_t nAngles : angleCounts) {
+      const std::vector<Complex> s = randomComplex(nAnt, 6000 + nAnt);
+      const std::vector<Complex> w =
+          randomComplex(nAngles * nAnt, 7000 + 31 * nAngles + nAnt);
+      std::vector<double> reT(nAnt * nAngles), imT(nAnt * nAngles);
+      for (std::size_t a = 0; a < nAngles; ++a) {
+        for (std::size_t k = 0; k < nAnt; ++k) {
+          reT[k * nAngles + a] = w[a * nAnt + k].real();
+          imT[k * nAngles + a] = w[a * nAnt + k].imag();
+        }
+      }
+      for (KernelLevel level : simd::availableKernelLevels()) {
+        const radar::detail::BeamformRowFn fn =
+            radar::detail::beamformRowForLevel(level);
+        const radar::detail::BeamformRowFn refFn =
+            level == KernelLevel::kSse2 ? &radar::detail::beamformRowScalar
+                                        : &radar::detail::beamformRowFmaRef;
+        std::vector<double> out(nAngles + kSentinels, sentinel);
+        std::vector<double> ref(nAngles + kSentinels, sentinel);
+        fn(s.data(), w.data(), reT.data(), imT.data(), nAnt, nAngles,
+           out.data());
+        refFn(s.data(), w.data(), reT.data(), imT.data(), nAnt, nAngles,
+              ref.data());
+        EXPECT_EQ(std::memcmp(out.data(), ref.data(),
+                              out.size() * sizeof(double)),
+                  0)
+            << "level=" << simd::kernelLevelName(level) << " nAnt=" << nAnt
+            << " nAngles=" << nAngles;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end radar pipeline: per-level thread invariance and
 // cross-regime tolerance of the range-angle power map.
 

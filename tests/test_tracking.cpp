@@ -1,14 +1,24 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/eavesdropper.h"
+#include "core/harness.h"
+#include "core/rfprotect_system.h"
+#include "core/scenario.h"
 #include "radar/frontend.h"
 #include "radar/processor.h"
 #include "tracking/detection.h"
 #include "tracking/hungarian.h"
 #include "tracking/kalman.h"
 #include "tracking/tracker.h"
+#include "trajectory/human_walk.h"
 
 namespace rfp::tracking {
 namespace {
@@ -258,6 +268,276 @@ TEST(PeakDetector, DynamicRangeCutSuppressesWeakPeaks) {
   for (const auto& d : few) {
     EXPECT_GT(d.power, many.front().power * 0.1 * 0.99);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Noise floor: the bracketed median selection must return the bits
+// std::nth_element leaves at index n / 2 of a copy, on every path.
+
+radar::RangeAngleMap mapOfCells(std::vector<double> cells) {
+  radar::RangeAngleMap map;
+  map.rangesM.assign(cells.size(), 0.0);
+  map.anglesRad.assign(1, 0.0);
+  map.power = std::move(cells);
+  return map;
+}
+
+double nthElementMedian(std::vector<double> cells) {
+  const std::size_t mid = cells.size() / 2;
+  std::nth_element(cells.begin(), cells.begin() + mid, cells.end());
+  return cells[mid];
+}
+
+bool sameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+void expectFloorMatchesNthElement(const std::vector<double>& cells,
+                                  const std::string& what) {
+  const double got = PeakDetector::noiseFloor(mapOfCells(cells));
+  const double want = nthElementMedian(cells);
+  EXPECT_TRUE(sameBits(got, want))
+      << what << " n=" << cells.size() << " got=" << got
+      << " want=" << want;
+}
+
+/// Exponential (Rayleigh-power) noise with a few strong peaks.
+std::vector<double> noiseWithPeaks(std::size_t n, std::uint64_t seed) {
+  rfp::common::Rng rng(seed);
+  std::vector<double> cells(n);
+  for (double& c : cells) c = rng.exponential(1.0);
+  for (std::size_t i = 0; i < std::min<std::size_t>(n, 5); ++i) {
+    cells[(i * 7919) % n] = 1e4 * static_cast<double>(i + 1);
+  }
+  return cells;
+}
+
+TEST(NoiseFloor, MatchesNthElementAcrossSizesAndPatterns) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::size_t cutoff = PeakDetector::kBracketMinCells;
+  for (std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{362}, cutoff - 1, cutoff,
+        std::size_t{41087}}) {
+    const std::vector<double> noise = noiseWithPeaks(n, 100 + n);
+    expectFloorMatchesNthElement(noise, "exponential noise + peaks");
+    expectFloorMatchesNthElement(std::vector<double>(n, 0.25), "all equal");
+    expectFloorMatchesNthElement(std::vector<double>(n, 0.0), "all zero");
+
+    rfp::common::Rng rng(200 + n);
+    std::vector<double> ties(n), zeros(n), infs(n), mostlyInf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ties[i] = static_cast<double>(static_cast<int>(rng.uniform(0.0, 3.0)));
+      zeros[i] = rng.uniform() < 0.6 ? 0.0 : rng.exponential(1.0);
+      infs[i] = rng.uniform() < 0.1 ? inf : rng.exponential(1.0);
+      mostlyInf[i] = rng.uniform() < 0.6 ? inf : rng.exponential(1.0);
+    }
+    expectFloorMatchesNthElement(ties, "ties at the median");
+    expectFloorMatchesNthElement(zeros, "zeros at the median");
+    expectFloorMatchesNthElement(infs, "+inf cells");
+    expectFloorMatchesNthElement(mostlyInf, "+inf at the median");
+
+    std::vector<double> sorted = noise;
+    std::sort(sorted.begin(), sorted.end());
+    expectFloorMatchesNthElement(sorted, "sorted");
+    std::vector<double> reversed(sorted.rbegin(), sorted.rend());
+    expectFloorMatchesNthElement(reversed, "reversed");
+    // Sixteen ascending teeth: tooth t holds sorted[t], sorted[t + 16], ...
+    std::vector<double> sawtooth;
+    for (std::size_t t = 0; t < 16; ++t) {
+      for (std::size_t i = t; i < n; i += 16) sawtooth.push_back(sorted[i]);
+    }
+    expectFloorMatchesNthElement(sawtooth, "sawtooth");
+  }
+}
+
+TEST(NoiseFloor, MatchesNthElementWhenTheSampleMissesTheMedian) {
+  // The bracket samples every (n / 1024)-th cell. Make exactly those
+  // cells (and the other multiples of the stride) the strongest, so the
+  // sampled bracket sits far above rank n / 2 and the full-copy
+  // fallback must produce the value.
+  const std::size_t n = 41087;
+  const std::size_t stride = n / 1024;
+  std::vector<double> cells = noiseWithPeaks(n, 7);
+  for (std::size_t i = 0; i < n; i += stride) {
+    cells[i] = 1e6 + static_cast<double>(i);
+  }
+  expectFloorMatchesNthElement(cells, "sample above the median");
+  for (std::size_t i = 0; i < n; i += stride) cells[i] = 0.0;
+  expectFloorMatchesNthElement(cells, "sample below the median");
+}
+
+/// A permutation of the ranks 0..n-1 (as cell values) in which the
+/// bracket's sample -- every (n / 1024)-th cell, its ranks 512 -+ 40 --
+/// puts the bracket ends lo and hi at overall ranks \p loRank and
+/// \p hiRank.
+std::vector<double> cellsWithBracketAt(std::size_t n, std::size_t loRank,
+                                       std::size_t hiRank) {
+  const std::size_t stride = n / 1024;
+  std::vector<double> cells(n, -1.0);
+  std::vector<bool> used(n, false);
+  for (std::size_t j = 0; j < 1024; ++j) {
+    // Sample ranks below 472 stay below lo, 472..551 run up from lo,
+    // 552 is hi, and the rest sit above hi.
+    std::size_t rank = j;
+    if (j >= 472) rank = loRank + (j - 472);
+    if (j == 552) rank = hiRank;
+    if (j > 552) rank = n - 1024 + j;
+    cells[j * stride] = static_cast<double>(rank);
+    used[rank] = true;
+  }
+  std::size_t next = 0;
+  for (double& c : cells) {
+    if (c >= 0.0) continue;
+    while (used[next]) ++next;
+    c = static_cast<double>(next++);
+  }
+  return cells;
+}
+
+TEST(NoiseFloor, MatchesNthElementWithTheMedianAtTheBracketEdge) {
+  const std::size_t n = 41087;
+  const std::size_t k = n / 2;
+  expectFloorMatchesNthElement(cellsWithBracketAt(n, k - 1000, k - 1),
+                               "bracket ends one below the median");
+  expectFloorMatchesNthElement(cellsWithBracketAt(n, k - 1000, k),
+                               "median is the bracket top");
+  expectFloorMatchesNthElement(cellsWithBracketAt(n, k, k + 1000),
+                               "median is the bracket bottom");
+  expectFloorMatchesNthElement(cellsWithBracketAt(n, k + 1, k + 1000),
+                               "bracket starts one above the median");
+}
+
+TEST(NoiseFloor, MatchesNthElementWithNegativeOrNanCells) {
+  const std::size_t n = 41087;
+  std::vector<double> negative = noiseWithPeaks(n, 11);
+  negative[n / 3] = -1.0;
+  expectFloorMatchesNthElement(negative, "one negative cell");
+
+  // Signed zeros compare equal, so which one lands at the median is up
+  // to nth_element; the result must still match it bit for bit.
+  std::vector<double> signedZeros(n, 0.0);
+  for (std::size_t i = 0; i < n; i += 3) signedZeros[i] = -0.0;
+  expectFloorMatchesNthElement(signedZeros, "signed zeros");
+
+  std::vector<double> nan = noiseWithPeaks(n, 13);
+  nan[n / 5] = std::numeric_limits<double>::quiet_NaN();
+  expectFloorMatchesNthElement(nan, "one NaN cell");
+}
+
+TEST(NoiseFloor, EmptyMapIsZero) {
+  EXPECT_EQ(PeakDetector::noiseFloor(radar::RangeAngleMap{}), 0.0);
+}
+
+/// detectInto's contract spelled out the slow way: threshold = factor x
+/// the median of a fully sorted copy, candidates = cells above it that no
+/// 8-neighbour exceeds (nested loops, clipped at the map edge).
+std::vector<Detection> bruteForceCandidates(const radar::RangeAngleMap& map,
+                                            double thresholdFactor) {
+  std::vector<double> sorted = map.power;
+  std::sort(sorted.begin(), sorted.end());
+  const double threshold = sorted[sorted.size() / 2] * thresholdFactor;
+  std::vector<Detection> out;
+  const auto nR = static_cast<long>(map.numRanges());
+  const auto nA = static_cast<long>(map.numAngles());
+  for (long r = 0; r < nR; ++r) {
+    for (long a = 0; a < nA; ++a) {
+      const double v = map.at(r, a);
+      if (!(v > threshold)) continue;
+      bool isMax = true;
+      for (long dr = -1; dr <= 1; ++dr) {
+        for (long da = -1; da <= 1; ++da) {
+          const long rr = r + dr;
+          const long aa = a + da;
+          if ((dr == 0 && da == 0) || rr < 0 || rr >= nR || aa < 0 ||
+              aa >= nA) {
+            continue;
+          }
+          if (map.at(rr, aa) > v) isMax = false;
+        }
+      }
+      if (!isMax) continue;
+      Detection d;
+      d.rangeM = map.rangesM[r];
+      d.angleRad = map.anglesRad[a];
+      d.power = v;
+      out.push_back(d);
+    }
+  }
+  return out;
+}
+
+TEST(PeakDetector, DetectIntoMatchesBruteForceOnOfficeFrames) {
+  const core::Scenario scenario = core::makeOfficeScenario();
+  rfp::common::Rng rng(2024);
+  trajectory::HumanWalkModel model;
+  const trajectory::Trace trace = trajectory::centered(model.sample(rng));
+  core::RfProtectSystem system(scenario.makeController());
+  const double dt = 1.0 / scenario.sensing.radar.frameRateHz;
+  system.addGhostAuto(trace, 2.0 * dt, scenario.plan, rng);
+  env::Environment environment(scenario.plan);
+  core::EavesdropperRadar radar(scenario.sensing);
+
+  // Every candidate is returned: no NMS, no dynamic-range cut, no cap,
+  // no world gate.
+  DetectorOptions opts = scenario.sensing.detector;
+  opts.minSeparationM = 0.0;
+  opts.minSeparationRad = 0.0;
+  opts.dynamicRangeDb = 0.0;
+  opts.maxDetections = std::numeric_limits<std::size_t>::max();
+  opts.bounds.reset();
+  const PeakDetector detector(opts);
+
+  std::vector<env::PointScatterer> scene;
+  radar::Frame frame;
+  radar::RangeAngleMap map;
+  radar::ProcessorScratch processorScratch;
+  DetectScratch detectScratch;
+  std::vector<Detection> detections;
+  std::size_t frames = 0;
+  std::size_t candidates = 0;
+  for (int f = 0; f < 41; ++f) {
+    const double t = f * dt;
+    core::combineScatterersInto(scene, environment, t, rng, scenario.snapshot,
+                                system.injectAt(t));
+    radar.senseRawInto(frame, scene, t, rng);
+    const radar::Frame* diff = radar.backgroundDiff(frame);
+    if (diff == nullptr) continue;
+    radar.processor().processInto(*diff, map, processorScratch);
+    ASSERT_GE(map.power.size(), PeakDetector::kBracketMinCells);
+    detector.detectInto(map, radar.processor(), detectScratch, detections);
+
+    std::vector<double> sorted = map.power;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_TRUE(
+        sameBits(PeakDetector::noiseFloor(map), sorted[sorted.size() / 2]))
+        << "frame " << f;
+
+    for (std::size_t i = 1; i < detections.size(); ++i) {
+      EXPECT_LE(detections[i].power, detections[i - 1].power);
+    }
+    // Equal-power candidates may come in either order; compare as sorted
+    // (power, range, angle) lists, bit for bit.
+    const auto byKey = [](const Detection& x, const Detection& y) {
+      return std::tie(x.power, x.rangeM, x.angleRad) <
+             std::tie(y.power, y.rangeM, y.angleRad);
+    };
+    std::vector<Detection> want =
+        bruteForceCandidates(map, opts.thresholdFactor);
+    std::vector<Detection> got = detections;
+    std::sort(want.begin(), want.end(), byKey);
+    std::sort(got.begin(), got.end(), byKey);
+    ASSERT_EQ(got.size(), want.size()) << "frame " << f;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(sameBits(got[i].power, want[i].power) &&
+                  sameBits(got[i].rangeM, want[i].rangeM) &&
+                  sameBits(got[i].angleRad, want[i].angleRad))
+          << "frame " << f << " candidate " << i;
+    }
+    ++frames;
+    candidates += got.size();
+  }
+  EXPECT_EQ(frames, 40u);
+  EXPECT_GT(candidates, frames);
 }
 
 Detection makeDetection(Vec2 world, double t, double power = 1.0) {
