@@ -1,6 +1,7 @@
 #include "common/special.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -62,22 +63,28 @@ TEST(Special, LogBinomialCoefficientMatchesSmallCases) {
             -std::numeric_limits<double>::infinity());
 }
 
+// ctest names each instance from the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are never initialised and would
+// give the same case a different name on every run.
 struct BinomialCase {
-  int n;
+  std::int64_t n;
   double p;
 };
+static_assert(sizeof(BinomialCase) == sizeof(std::int64_t) + sizeof(double));
 
 class BinomialPmfTest : public ::testing::TestWithParam<BinomialCase> {};
 
 TEST_P(BinomialPmfTest, SumsToOne) {
-  const auto [n, p] = GetParam();
+  const int n = static_cast<int>(GetParam().n);
+  const double p = GetParam().p;
   double total = 0.0;
   for (int k = 0; k <= n; ++k) total += binomialPmf(n, p, k);
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST_P(BinomialPmfTest, MeanMatchesNp) {
-  const auto [n, p] = GetParam();
+  const int n = static_cast<int>(GetParam().n);
+  const double p = GetParam().p;
   double mean = 0.0;
   for (int k = 0; k <= n; ++k) mean += k * binomialPmf(n, p, k);
   EXPECT_NEAR(mean, n * p, 1e-10);
