@@ -6,13 +6,16 @@
 ///   - GEMM GFLOP/s of the tiled kernel (single thread, one cube and one
 ///     GAN-shaped product),
 ///   - range-FFT transforms/s (the butterfly kernel family),
+///   - counter-based AWGN samples/s on one paper-radar frame (7 antennas
+///     x 500 samples, the noise kernel family),
 ///   - end-to-end radar frames/s (Frontend::synthesize + Processor::process,
 ///     i.e. the tone-synthesis and Eq. 2 beamforming kernels together),
 ///   - end-to-end conditional-GAN training steps/s,
 ///
 /// and re-checks each level's bit-identity contract (gemm output
-/// memcmp-equal to referenceGemmForLevel) so the sweep doubles as a
-/// cheap determinism gate. Emits `BENCH_kernels.json` with the detected
+/// memcmp-equal to referenceGemmForLevel, the noise frame memcmp-equal to
+/// awgnAccumScalar / awgnAccumFmaRef) so the sweep doubles as a cheap
+/// determinism gate. Emits `BENCH_kernels.json` with the detected
 /// CPU feature flags; on a host without AVX2+FMA only the sse2 row is
 /// produced (the JSON records that explicitly so results from such a box
 /// are not misread as a regression). `--smoke` is the CI variant: tiny
@@ -20,6 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +41,7 @@
 #include "radar/frontend.h"
 #include "radar/processor.h"
 #include "signal/fft.h"
+#include "signal/noise_kernels.h"
 #include "trajectory/human_walk.h"
 
 namespace {
@@ -57,9 +62,11 @@ struct LevelRow {
   double gemmGflopsCube = 0.0;    ///< 256^3 (smoke: 64^3), 1 thread
   double gemmGflopsGan = 0.0;     ///< 784x40x128 tall-skinny, 1 thread
   double fftTransformsPerSec = 0.0;
+  double awgnSamplesPerSec = 0.0;  ///< 7 x 500 frame, 1 thread
   double radarFramesPerSec = 0.0;
   double ganStepsPerSec = 0.0;
   bool gemmBitExact = false;  ///< memcmp vs referenceGemmForLevel
+  bool awgnBitExact = false;  ///< memcmp vs the level's noise reference
 };
 
 double gemmGflops(std::size_t m, std::size_t k, std::size_t n, bool smoke,
@@ -110,6 +117,42 @@ double fftThroughput(bool smoke) {
   return static_cast<double>(reps) / timer.elapsedS();
 }
 
+/// Noise kernel of the active level on one paper-radar frame: 7 antenna
+/// streams of 500 samples, a fresh chirp counter per repetition.
+double awgnThroughput(bool smoke, bool* bitExact) {
+  constexpr std::size_t kAntennas = 7;
+  constexpr std::size_t kSamples = 500;
+  const std::size_t reps = smoke ? 20 : 2000;
+  const KernelLevel level = common::simd::activeKernelLevel();
+  const signal::detail::AwgnAccumFn fn =
+      signal::detail::awgnAccumForLevel(level);
+  std::vector<std::complex<double>> frame(kAntennas * kSamples);
+  const auto runFrame = [&](signal::detail::AwgnAccumFn kernel,
+                            std::uint64_t chirp) {
+    for (std::size_t k = 0; k < kAntennas; ++k) {
+      kernel(frame.data() + k * kSamples, kSamples, 0.3, 99, chirp, k);
+    }
+  };
+  runFrame(fn, 0);  // warm-up
+  bench::WallTimer timer;
+  for (std::size_t r = 0; r < reps; ++r) {
+    runFrame(fn, r);
+    benchmark::DoNotOptimize(frame.data());
+  }
+  const double seconds = timer.elapsedS();
+
+  std::fill(frame.begin(), frame.end(), std::complex<double>{});
+  runFrame(fn, 7);
+  const std::vector<std::complex<double>> out = frame;
+  std::fill(frame.begin(), frame.end(), std::complex<double>{});
+  runFrame(level == KernelLevel::kSse2 ? &signal::detail::awgnAccumScalar
+                                       : &signal::detail::awgnAccumFmaRef,
+           7);
+  *bitExact = std::memcmp(out.data(), frame.data(),
+                          frame.size() * sizeof(frame[0])) == 0;
+  return static_cast<double>(reps * kAntennas * kSamples) / seconds;
+}
+
 double radarThroughput(bool smoke) {
   radar::RadarConfig cfg;
   cfg.position = {5.0, 0.05};
@@ -158,8 +201,8 @@ double ganThroughput(const std::vector<trajectory::Trace>& dataset,
 
 int runKernelSweep(bool smoke) {
   bench::printHeader(
-      "SIMD kernel sweep -- GEMM / FFT / radar / GAN throughput per ISA "
-      "level");
+      "SIMD kernel sweep -- GEMM / FFT / AWGN / radar / GAN throughput per "
+      "ISA level");
   std::printf("  cpu features: %s\n",
               common::simd::cpuFeatureString().c_str());
 
@@ -196,17 +239,22 @@ int runKernelSweep(bool smoke) {
     row.gemmBitExact = cubeExact && ganShapeExact;
     allExact = allExact && row.gemmBitExact;
     row.fftTransformsPerSec = fftThroughput(smoke);
+    row.awgnSamplesPerSec = awgnThroughput(smoke, &row.awgnBitExact);
+    allExact = allExact && row.awgnBitExact;
     common::ThreadPool::setGlobalThreads(0);  // end-to-end uses the full pool
     row.radarFramesPerSec = radarThroughput(smoke);
     row.ganStepsPerSec = ganThroughput(dataset, smoke);
     rows.push_back(row);
 
     std::printf(
-        "  %-8s : gemm %7.2f / %7.2f GFLOP/s  fft %8.0f /s  radar %6.1f "
-        "frames/s  gan %5.2f steps/s  %s\n",
+        "  %-8s : gemm %7.2f / %7.2f GFLOP/s  fft %8.0f /s  awgn %6.1f "
+        "Msamples/s  radar %6.1f frames/s  gan %5.2f steps/s  gemm %s  "
+        "awgn %s\n",
         common::simd::kernelLevelName(level), row.gemmGflopsCube,
-        row.gemmGflopsGan, row.fftTransformsPerSec, row.radarFramesPerSec,
-        row.ganStepsPerSec, row.gemmBitExact ? "bit-exact" : "MISMATCH");
+        row.gemmGflopsGan, row.fftTransformsPerSec,
+        row.awgnSamplesPerSec / 1.0e6, row.radarFramesPerSec,
+        row.ganStepsPerSec, row.gemmBitExact ? "bit-exact" : "MISMATCH",
+        row.awgnBitExact ? "bit-exact" : "MISMATCH");
   }
   common::simd::setActiveKernelLevel(prevLevel);
 
@@ -224,9 +272,11 @@ int runKernelSweep(bool smoke) {
         .field("gemm_gflops_cube", row.gemmGflopsCube)
         .field("gemm_gflops_gan_shape", row.gemmGflopsGan)
         .field("fft_transforms_per_sec", row.fftTransformsPerSec)
+        .field("awgn_samples_per_sec", row.awgnSamplesPerSec)
         .field("radar_frames_per_sec", row.radarFramesPerSec)
         .field("gan_steps_per_sec", row.ganStepsPerSec)
         .field("gemm_bit_exact", row.gemmBitExact)
+        .field("awgn_bit_exact", row.awgnBitExact)
         .endObject();
   }
   json.endArray().field("all_bit_exact", allExact).endObject();

@@ -91,10 +91,9 @@ void toneAccumAvx512(Complex* dst, std::size_t n, Complex phasor, Complex rot);
 Complex beamformDotAvx512(const Complex* s, const Complex* w, std::size_t n);
 
 /// Angle-batched row sweeps: four (AVX2) / eight (AVX-512) angle lanes
-/// per vector, per-lane chains identical to beamformRowFmaRef. The AVX2
-/// sweep hands the last nAngles % 4 angles to beamformDotFmaRef; the
-/// AVX-512 sweep runs its last nAngles % 8 angles as one masked
-/// iteration of the same lane chain and never reads \p w.
+/// per vector, per-lane chains identical to beamformRowFmaRef. Both run
+/// their last nAngles % 4 (AVX2) / nAngles % 8 (AVX-512) angles as one
+/// masked iteration of the same lane chain and never read \p w.
 void beamformRowAvx2(const Complex* s, const Complex* w, const double* wReT,
                      const double* wImT, std::size_t nAnt,
                      std::size_t nAngles, double* out);

@@ -11,6 +11,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/fma_complex.h"
 
 namespace rfp::radar::detail {
@@ -91,27 +94,33 @@ Complex beamformDotAvx2(const Complex* s, const Complex* w, std::size_t n) {
 void beamformRowAvx2(const Complex* s, const Complex* w, const double* wReT,
                      const double* wImT, std::size_t nAnt,
                      std::size_t nAngles, double* out) {
+  (void)w;
   // Four angle lanes per vector; per-lane chain identical to
   // beamformRowFmaRef (see the AVX-512 twin for the lane commentary).
-  const std::size_t nA4 = nAngles & ~std::size_t{3};
+  // The last nAngles % 4 angles run the same chain in one masked
+  // iteration: lanes outside the mask load zeros and are never stored.
+  const __m256i laneIds = _mm256_set_epi64x(3, 2, 1, 0);
   const std::size_t n4 = nAnt & ~std::size_t{3};
-  std::size_t a = 0;
-  for (; a < nA4; a += 4) {
+  for (std::size_t a = 0; a < nAngles; a += 4) {
+    const std::size_t lanes = std::min<std::size_t>(4, nAngles - a);
+    const __m256i m = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(lanes)), laneIds);
     __m256d pre[4], pim[4];
     for (int j = 0; j < 4; ++j) {
       pre[j] = _mm256_setzero_pd();
       pim[j] = _mm256_setzero_pd();
     }
-    std::size_t k = 0;
-    for (; k < n4; ++k) {
-      const __m256d wre = _mm256_loadu_pd(wReT + k * nAngles + a);
-      const __m256d wim = _mm256_loadu_pd(wImT + k * nAngles + a);
+    const auto product = [&](std::size_t k) {
+      const __m256d wre = _mm256_maskload_pd(wReT + k * nAngles + a, m);
+      const __m256d wim = _mm256_maskload_pd(wImT + k * nAngles + a, m);
       const __m256d sre = _mm256_set1_pd(s[k].real());
       const __m256d sim = _mm256_set1_pd(s[k].imag());
-      const __m256d cre =
-          _mm256_fmsub_pd(sre, wre, _mm256_mul_pd(sim, wim));
-      const __m256d cim =
-          _mm256_fmadd_pd(sim, wre, _mm256_mul_pd(sre, wim));
+      return std::pair{_mm256_fmsub_pd(sre, wre, _mm256_mul_pd(sim, wim)),
+                       _mm256_fmadd_pd(sim, wre, _mm256_mul_pd(sre, wim))};
+    };
+    std::size_t k = 0;
+    for (; k < n4; ++k) {
+      const auto [cre, cim] = product(k);
       pre[k & 3] = _mm256_add_pd(pre[k & 3], cre);
       pim[k & 3] = _mm256_add_pd(pim[k & 3], cim);
     }
@@ -120,21 +129,13 @@ void beamformRowAvx2(const Complex* s, const Complex* w, const double* wReT,
     __m256d accIm = _mm256_add_pd(_mm256_add_pd(pim[0], pim[2]),
                                   _mm256_add_pd(pim[1], pim[3]));
     for (; k < nAnt; ++k) {
-      const __m256d wre = _mm256_loadu_pd(wReT + k * nAngles + a);
-      const __m256d wim = _mm256_loadu_pd(wImT + k * nAngles + a);
-      const __m256d sre = _mm256_set1_pd(s[k].real());
-      const __m256d sim = _mm256_set1_pd(s[k].imag());
-      accRe = _mm256_add_pd(
-          accRe, _mm256_fmsub_pd(sre, wre, _mm256_mul_pd(sim, wim)));
-      accIm = _mm256_add_pd(
-          accIm, _mm256_fmadd_pd(sim, wre, _mm256_mul_pd(sre, wim)));
+      const auto [cre, cim] = product(k);
+      accRe = _mm256_add_pd(accRe, cre);
+      accIm = _mm256_add_pd(accIm, cim);
     }
-    _mm256_storeu_pd(out + a, _mm256_add_pd(_mm256_mul_pd(accRe, accRe),
-                                            _mm256_mul_pd(accIm, accIm)));
-  }
-  for (; a < nAngles; ++a) {
-    const Complex d = beamformDotFmaRef(s, w + a * nAnt, nAnt);
-    out[a] = d.real() * d.real() + d.imag() * d.imag();
+    _mm256_maskstore_pd(out + a, m,
+                        _mm256_add_pd(_mm256_mul_pd(accRe, accRe),
+                                      _mm256_mul_pd(accIm, accIm)));
   }
 }
 
