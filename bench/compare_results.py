@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compares two sets of perfbench result files, seed by seed.
+
+Usage (from the repository root):
+
+    python3 bench/compare_results.py <parent-dir> <change-dir>
+
+Each directory holds `<workload>-seed<n>-result.json` files as written by
+`python3 perfbench/run.py ... --trace 0`. For every workload and every
+end-to-end metric that BENCHMARK.json names, it prints each side's median
+and quartiles, the parent's interquartile range as a share of its median,
+the median change, and the number of seeds where the change is better,
+naming the others (pairs are matched by seed; ties count as not better;
+seeds present on only one side count for the quartiles but not for the
+wins). A last line per workload says whether `output_digest` matched at
+every paired seed. Standard library only.
+"""
+
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NAME = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)-result\.json$")
+
+
+def load(directory):
+    """{workload: {seed: result}} for the result files in directory."""
+    runs = {}
+    for path in sorted(Path(directory).iterdir()):
+        match = NAME.match(path.name)
+        if match:
+            runs.setdefault(match["workload"], {})[int(match["seed"])] = (
+                json.loads(path.read_text()))
+    return runs
+
+
+def quartiles(values):
+    """(q1, median, q3); the median repeats for fewer than two values."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(parent, change, metrics):
+    for workload in sorted(set(parent) | set(change)):
+        before = parent.get(workload, {})
+        after = change.get(workload, {})
+        paired = sorted(set(before) & set(after))
+        print(f"{workload}: parent {len(before)} runs, change {len(after)} "
+              f"runs, {len(paired)} paired seeds")
+        if not before or not after:
+            continue
+        print(f"  {'metric':<22} {'parent q1 / median / q3':>29} "
+              f"{'change q1 / median / q3':>29} {'IQR/med':>8} "
+              f"{'delta':>8} {'wins':>6}")
+        for metric in metrics:
+            name = metric["name"]
+            sign = 1.0 if metric["better"] == "higher" else -1.0
+            old = [r["metrics"][name]["value"] for r in before.values()]
+            new = [r["metrics"][name]["value"] for r in after.values()]
+            oq, nq = quartiles(old), quartiles(new)
+            spread = (oq[2] - oq[0]) / oq[1] if oq[1] else float("nan")
+            delta = (nq[1] - oq[1]) / oq[1] if oq[1] else float("nan")
+            gain = {s: sign * (after[s]["metrics"][name]["value"] -
+                               before[s]["metrics"][name]["value"])
+                    for s in paired}
+            wins = sum(g > 0 for g in gain.values())
+            others = [str(s) for s, g in gain.items() if g <= 0]
+            print(f"  {name:<22} "
+                  + " ".join(f"{v:>9.4g}" for v in oq + nq)
+                  + f" {spread:>8.3f} {delta:>+8.3f} {wins:>3}/{len(paired)}"
+                  + (f"  (not better at seeds {', '.join(others)})"
+                     if others else ""))
+        digests = [(s, before[s]["notes"].get("output_digest"),
+                    after[s]["notes"].get("output_digest")) for s in paired]
+        differing = [f"seed {s}: {a} -> {b}" for s, a, b in digests if a != b]
+        print("  output_digest: " + (
+            f"identical at all {len(paired)} paired seeds" if not differing
+            else "DIFFERS at " + ", ".join(differing)))
+
+
+def main():
+    if len(sys.argv) != 3:
+        print("usage: compare_results.py <parent-dir> <change-dir>",
+              file=sys.stderr)
+        return 2
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    compare(load(sys.argv[1]), load(sys.argv[2]), metrics)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,11 +47,14 @@ inline std::uint64_t hashBits(std::uint64_t seed, std::uint64_t frame,
 }
 
 /// Deterministic pair of independent standard-normal samples for
-/// (seed, frame, stream), via Box-Muller over two hashUniform draws. This
-/// is the per-chirp noise primitive of the parallel front end: every
-/// (chirp, antenna, sample) noise value is a pure function of its
-/// coordinates, so synthesis order -- and thread count -- cannot change
-/// the realization (DESIGN.md Sec. 8).
+/// (seed, frame, stream), via libm Box-Muller over two hashUniform draws.
+/// This is the sse2-level receiver-noise primitive
+/// (signal::detail::awgnAccumScalar); the FMA levels draw the same two
+/// uniforms and evaluate Box-Muller with a fixed polynomial chain instead
+/// (signal/noise_kernels.h). Either way every (chirp, antenna, sample)
+/// noise value is a pure function of its coordinates within one kernel
+/// level, so synthesis order -- and thread count -- cannot change the
+/// realization (DESIGN.md Sec. 8).
 inline std::pair<double, double> hashGaussianPair(std::uint64_t seed,
                                                   std::uint64_t frame,
                                                   std::uint64_t stream) {
