@@ -117,12 +117,13 @@ double parseUnit(const std::string& value, const ParseContext& ctx) {
 int parseCount(const std::string& value, const ParseContext& ctx, int lo,
                int hi) {
   const double v = parseOne(value, ctx);
-  const int n = static_cast<int>(v);
-  if (static_cast<double>(n) != v || n < lo || n > hi) {
+  // Range and integrality on the double: casting an out-of-range value to
+  // int first would be undefined behaviour.
+  if (!(v >= lo && v <= hi) || v != std::trunc(v)) {
     ctx.fail("value must be an integer in [" + std::to_string(lo) + ", " +
              std::to_string(hi) + "]");
   }
-  return n;
+  return static_cast<int>(v);
 }
 
 Vec2 parseDirection(const std::string& value, const ParseContext& ctx) {

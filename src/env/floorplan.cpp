@@ -7,11 +7,12 @@ namespace rfp::env {
 
 using rfp::common::Vec2;
 
-Vec2 Wall::mirror(Vec2 p) const {
-  const Vec2 d = (b - a).normalized();
+Vec2 Wall::mirror(Vec2 p) const { return mirror(p, (b - a).normalized()); }
+
+Vec2 Wall::mirror(Vec2 p, Vec2 dir) const {
   const Vec2 ap = p - a;
-  const double along = ap.dot(d);
-  const Vec2 foot = a + d * along;
+  const double along = ap.dot(dir);
+  const Vec2 foot = a + dir * along;
   return foot + (foot - p);
 }
 
@@ -44,10 +45,15 @@ FloorPlan::FloorPlan(std::string name, double width, double height,
   const Vec2 c10{width, 0.0};
   const Vec2 c11{width, height};
   const Vec2 c01{0.0, height};
-  walls_.push_back({c00, c10, wallReflectivity});
-  walls_.push_back({c10, c11, wallReflectivity});
-  walls_.push_back({c11, c01, wallReflectivity});
-  walls_.push_back({c01, c00, wallReflectivity});
+  addWall({c00, c10, wallReflectivity});
+  addWall({c10, c11, wallReflectivity});
+  addWall({c11, c01, wallReflectivity});
+  addWall({c01, c00, wallReflectivity});
+}
+
+void FloorPlan::addWall(Wall w) {
+  walls_.push_back(w);
+  wallDirs_.push_back((w.b - w.a).normalized());
 }
 
 void FloorPlan::addClutter(Vec2 position, double amplitude) {
@@ -80,11 +86,12 @@ void FloorPlan::multipathImagesInto(const PointScatterer& s, double extraLoss,
                                     std::optional<Vec2> observer,
                                     std::vector<PointScatterer>& out) const {
   out.clear();
-  for (const Wall& w : walls_) {
+  for (std::size_t i = 0; i < walls_.size(); ++i) {
+    const Wall& w = walls_[i];
     if (w.reflectivity <= 0.0) continue;
     if (!w.footWithinSegment(s.position)) continue;
     PointScatterer img = s;
-    img.position = w.mirror(s.position);
+    img.position = w.mirror(s.position, wallDirs_[i]);
     if (observer.has_value() &&
         !w.segmentIntersects(*observer, img.position)) {
       continue;  // no physical specular bounce from this observer

@@ -25,6 +25,10 @@ struct Wall {
   /// Mirror image of point \p p across the (infinite extension of the) wall.
   rfp::common::Vec2 mirror(rfp::common::Vec2 p) const;
 
+  /// mirror() with the wall's unit direction \p dir, (b - a).normalized(),
+  /// computed by the caller: the same bits without the per-call norm.
+  rfp::common::Vec2 mirror(rfp::common::Vec2 p, rfp::common::Vec2 dir) const;
+
   /// True if the perpendicular foot of \p p lies within the segment; the
   /// image method only creates a specular path in that case.
   bool footWithinSegment(rfp::common::Vec2 p) const;
@@ -51,7 +55,7 @@ class FloorPlan {
   const std::vector<PointScatterer>& clutter() const { return clutter_; }
 
   /// Adds an interior wall (e.g. a partition) used for multipath.
-  void addWall(Wall w) { walls_.push_back(w); }
+  void addWall(Wall w);
 
   /// Adds a static clutter scatterer (furniture, cabinet, fridge...).
   void addClutter(rfp::common::Vec2 position, double amplitude);
@@ -92,6 +96,8 @@ class FloorPlan {
   double width_;
   double height_;
   std::vector<Wall> walls_;
+  /// walls_[i]'s unit direction, (b - a).normalized(), set when it is added.
+  std::vector<rfp::common::Vec2> wallDirs_;
   std::vector<PointScatterer> clutter_;
 };
 

@@ -2,7 +2,7 @@
 
 /// \file matrix.h
 /// Dense row-major matrix of doubles. This is the numeric workhorse shared
-/// by the Kalman filter, the FID metric, and the neural-network layers.
+/// by the FID metric, the assignment solver, and the neural-network layers.
 
 #include <algorithm>
 #include <cstddef>
@@ -15,9 +15,8 @@ namespace rfp::linalg {
 namespace detail {
 
 /// Storage for Matrix with a small-buffer optimization: anything up to
-/// 16 doubles (a Kalman covariance, a measurement vector, a 2x2
-/// innovation) lives inline, so the tracking hot path's dozens of
-/// temporary products per frame never touch the allocator. Larger
+/// 16 doubles (a 4x4 block, a short vector) lives inline, so small
+/// temporary products never touch the allocator. Larger
 /// matrices (GEMM/NN workloads) fall through to a heap vector. Which
 /// storage is active is a pure function of size(), and every mutation
 /// goes through assign()/resize() followed by a full overwrite, so the

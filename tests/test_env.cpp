@@ -1,3 +1,7 @@
+#include <cstring>
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -72,6 +76,38 @@ TEST(FloorPlan, MultipathImagesAreMirroredAndAttenuated) {
     EXPECT_NEAR(img.amplitude, 0.4 * 0.5, 1e-12);
     EXPECT_EQ(img.sourceId, 7);
   }
+}
+
+TEST(FloorPlan, MultipathImagesMatchWallMirrorBitForBit) {
+  // Perimeter walls, two interior walls added later (one slanted) and a
+  // zero-length wall, which has no specular foot and so no image.
+  FloorPlan plan("t", 7.3, 4.9, 0.35);
+  plan.addWall({{2.1, 0.3}, {2.9, 3.7}, 0.5});
+  plan.addWall({{5.0, 1.0}, {5.0, 4.0}, 0.4});
+  plan.addWall({{3.0, 3.0}, {3.0, 3.0}, 0.6});
+  rfp::common::Rng rng(9);
+  std::vector<PointScatterer> got;
+  std::size_t images = 0;
+  for (int i = 0; i < 400; ++i) {
+    PointScatterer s;
+    s.position = {rng.uniform(0.1, 7.2), rng.uniform(0.1, 4.8)};
+    const std::optional<Vec2> observer =
+        i % 2 == 0 ? std::nullopt : std::optional<Vec2>(Vec2{3.6, 0.05});
+    plan.multipathImagesInto(s, 0.7, observer, got);
+    std::vector<Vec2> want;
+    for (const Wall& w : plan.walls()) {
+      if (!w.footWithinSegment(s.position)) continue;
+      const Vec2 img = w.mirror(s.position);
+      if (observer && !w.segmentIntersects(*observer, img)) continue;
+      want.push_back(img);
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(std::memcmp(&got[k].position, &want[k], sizeof(Vec2)), 0);
+    }
+    images += want.size();
+  }
+  EXPECT_GT(images, 800u);
 }
 
 TEST(Wall, SegmentIntersectsProperCrossings) {

@@ -92,6 +92,8 @@ TEST(ScenarioConfig, RejectsNonFiniteAndOutOfRangeValues) {
       "radar.axis = 0 0\n",         // zero direction
       "panel.count = 2.5\n",        // non-integer count
       "panel.count = 0\n",
+      "panel.count = 1e10\n",      // beyond int: no float-to-int overflow
+      "radar.antennas = -3e9\n",
       "panel.spacing = -0.2\n",
       "clutter = 1 2 -0.5\n",       // negative amplitude
       "interior_wall = 0 0 1 1 2\n",  // reflectivity out of range
@@ -99,6 +101,7 @@ TEST(ScenarioConfig, RejectsNonFiniteAndOutOfRangeValues) {
       "fault.intensity = 1.5\n",
       "fault.intensity = nan\n",
       "fault.phase_bits = 20\n",
+      "fault.phase_bits = 4294967297\n",
       "fault.control_drop_prob = -0.2\n",
       "fault.adc_clip_level = 0\n",
   };
