@@ -55,10 +55,10 @@ RangeDopplerMap computeRangeDoppler(const std::vector<Frame>& burst,
   if (pri <= 0.0) {
     throw std::invalid_argument("computeRangeDoppler: bad chirp timing");
   }
-  const std::size_t samples = burst.front().samplesPerChirp();
+  const std::size_t samples = burst.front().checkedSamplesPerChirp();
   const auto antenna = static_cast<std::size_t>(options.antenna);
   for (const Frame& f : burst) {
-    if (f.samplesPerChirp() != samples || antenna >= f.numAntennas()) {
+    if (f.checkedSamplesPerChirp() != samples || antenna >= f.numAntennas()) {
       throw std::invalid_argument("computeRangeDoppler: frame shape mismatch");
     }
   }

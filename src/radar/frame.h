@@ -19,15 +19,30 @@ struct Frame {
   double timestampS = 0.0;
 
   std::size_t numAntennas() const { return samples.size(); }
+  /// Antenna 0's sample count; see checkedSamplesPerChirp().
   std::size_t samplesPerChirp() const {
     return samples.empty() ? 0 : samples.front().size();
+  }
+
+  /// samplesPerChirp() after checking that every antenna holds that many
+  /// samples. Throws std::invalid_argument on a ragged frame. Every entry
+  /// point that sizes per-antenna work by antenna 0 checks through here.
+  std::size_t checkedSamplesPerChirp() const {
+    const std::size_t n = samplesPerChirp();
+    for (const std::vector<Complex>& antenna : samples) {
+      if (antenna.size() != n) {
+        throw std::invalid_argument(
+            "Frame: antennas hold different sample counts");
+      }
+    }
+    return n;
   }
 
   /// Element-wise difference (this - other); the paper's background
   /// subtraction subtracts successive frames. Throws on shape mismatch.
   Frame operator-(const Frame& other) const {
     if (numAntennas() != other.numAntennas() ||
-        samplesPerChirp() != other.samplesPerChirp()) {
+        checkedSamplesPerChirp() != other.checkedSamplesPerChirp()) {
       throw std::invalid_argument("Frame subtraction: shape mismatch");
     }
     Frame out = *this;

@@ -203,7 +203,7 @@ void Processor::checkShape(const Frame& frame) const {
   if (frame.numAntennas() != static_cast<std::size_t>(config_.numAntennas)) {
     throw std::invalid_argument("Processor: frame antenna count mismatch");
   }
-  if (frame.samplesPerChirp() != config_.chirp.samplesPerChirp()) {
+  if (frame.checkedSamplesPerChirp() != config_.chirp.samplesPerChirp()) {
     throw std::invalid_argument("Processor: frame sample count mismatch");
   }
 }
@@ -215,7 +215,8 @@ void Processor::prepareMap(const Frame& frame, RangeAngleMap& out) const {
   out.rangesM.resize(numRanges);
   for (std::size_t r = 0; r < numRanges; ++r) out.rangesM[r] = rangeOfBin(r);
   out.anglesRad = anglesRad_;
-  out.power.assign(numRanges * options_.numAngleBins, 0.0);
+  // No fill: the beamforming row kernels write every cell.
+  out.power.resize(numRanges * options_.numAngleBins);
 }
 
 void Processor::fftAntennaInto(const Frame& frame, std::size_t k,
@@ -279,13 +280,16 @@ RangeAngleMap Processor::process(const Frame& frame) const {
 }
 
 const Frame* Processor::backgroundDiff(const Frame& frame) {
+  // The stored frame passed this check too, so no antenna of either
+  // frame is shorter than the loop below runs.
+  const std::size_t samples = frame.checkedSamplesPerChirp();
   if (!hasPrevious_) {
     previous_ = frame;
     hasPrevious_ = true;
     return nullptr;
   }
   if (frame.numAntennas() != previous_.numAntennas() ||
-      frame.samplesPerChirp() != previous_.samplesPerChirp()) {
+      samples != previous_.samplesPerChirp()) {
     throw std::invalid_argument("Frame subtraction: shape mismatch");
   }
   diff_.timestampS = frame.timestampS;

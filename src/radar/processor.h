@@ -126,7 +126,9 @@ class Processor {
   /// The background-subtraction step alone, on reused storage: returns
   /// nullptr on the priming call, afterwards a pointer to the internally
   /// stored (frame - previous) difference, valid until the next call.
-  /// Throws std::invalid_argument on shape mismatch with the primed frame.
+  /// Throws std::invalid_argument on shape mismatch with the primed frame
+  /// and on a ragged frame (antennas with different sample counts), the
+  /// priming one included.
   const Frame* backgroundDiff(const Frame& frame);
 
   /// Forgets the stored previous frame.
@@ -154,7 +156,8 @@ class Processor {
   /// Full cache entry including the transposed planes beamformRow wants.
   const SteeringMatrix& steeringMatrix() const { return *steering_; }
 
-  /// Fills \p out's axes/timestamp and zeroes its power grid (vectors
+  /// Fills \p out's axes/timestamp and sizes its power grid without
+  /// clearing it, for the beamforming rows to write every cell (vectors
   /// reuse capacity); shape-checks \p frame against the config.
   void prepareMap(const Frame& frame, RangeAngleMap& out) const;
 

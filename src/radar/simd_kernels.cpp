@@ -94,22 +94,6 @@ ToneAccumFn toneAccumForLevel(KernelLevel level) {
   return &toneAccumScalar;
 }
 
-BeamformDotFn beamformDotForLevel(KernelLevel level) {
-#if defined(RFP_X86_KERNELS)
-  switch (level) {
-    case KernelLevel::kAvx512:
-      return &beamformDotAvx512;
-    case KernelLevel::kAvx2Fma:
-      return &beamformDotAvx2;
-    case KernelLevel::kSse2:
-      break;
-  }
-#else
-  (void)level;
-#endif
-  return &beamformDotScalar;
-}
-
 BeamformRowFn beamformRowForLevel(KernelLevel level) {
 #if defined(RFP_X86_KERNELS)
   switch (level) {

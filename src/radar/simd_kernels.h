@@ -31,18 +31,9 @@ namespace rfp::radar::detail {
 using ToneAccumFn = void (*)(Complex* dst, std::size_t n, Complex phasor,
                              Complex rot);
 
-/// Eq. 2 matched-beamformer dot product sum_k s[k] * w[k] over one
-/// contiguous range row of the transposed spectra. The FMA regime keeps
-/// four partial accumulators (lane j sums products with k == j mod 4,
-/// products via fmaComplexMul, plain adds), combines them as
-/// (p0 + p2) + (p1 + p3), then folds the scalar fmaComplexMul tail into
-/// that total.
-using BeamformDotFn = Complex (*)(const Complex* s, const Complex* w,
-                                  std::size_t n);
-
 /// Whole-row beamforming sweep: out[a] = |dot(s, w row a)|^2 for every
 /// steering angle, where the per-angle dot follows this level's
-/// BeamformDot chain exactly and the squared magnitude is the plain
+/// beamformDot chain exactly and the squared magnitude is the plain
 /// re*re + im*im (no contraction). The per-angle indirect-call overhead
 /// dominated the map build at small antenna counts, so the vector
 /// variants batch angles instead of antennas: they run the *same*
@@ -62,10 +53,14 @@ void toneAccumScalar(Complex* dst, std::size_t n, Complex phasor, Complex rot);
 /// oracle for toneAccumAvx2/toneAccumAvx512.
 void toneAccumFmaRef(Complex* dst, std::size_t n, Complex phasor, Complex rot);
 
-/// Seed-exact single-accumulator dot (simd_kernels.cpp).
+/// Seed-exact single-accumulator Eq. 2 dot product sum_k s[k] * w[k]
+/// (simd_kernels.cpp).
 Complex beamformDotScalar(const Complex* s, const Complex* w, std::size_t n);
 
-/// Portable scalar emulation of the FMA-regime beamforming dot.
+/// Portable scalar emulation of the FMA-regime beamforming dot: four
+/// partial accumulators (lane j sums products with k == j mod 4, products
+/// via fmaComplexMul, plain adds), combined as (p0 + p2) + (p1 + p3),
+/// then the scalar fmaComplexMul tail folded into that total.
 Complex beamformDotFmaRef(const Complex* s, const Complex* w, std::size_t n);
 
 /// Seed-exact row sweep: beamformDotScalar + std::norm per angle.
@@ -83,12 +78,10 @@ void beamformRowFmaRef(const Complex* s, const Complex* w,
 /// Two complex lanes per 256-bit vector, two vectors in flight
 /// (simd_kernels_avx2.cpp).
 void toneAccumAvx2(Complex* dst, std::size_t n, Complex phasor, Complex rot);
-Complex beamformDotAvx2(const Complex* s, const Complex* w, std::size_t n);
 
 /// Four complex lanes per 512-bit vector (simd_kernels_avx512.cpp);
 /// bit-identical to the AVX2 variants by construction.
 void toneAccumAvx512(Complex* dst, std::size_t n, Complex phasor, Complex rot);
-Complex beamformDotAvx512(const Complex* s, const Complex* w, std::size_t n);
 
 /// Angle-batched row sweeps: four (AVX2) / eight (AVX-512) angle lanes
 /// per vector, per-lane chains identical to beamformRowFmaRef. Both run
@@ -105,7 +98,6 @@ void beamformRowAvx512(const Complex* s, const Complex* w,
 /// Kernel registries for \p level (SSE2 scalar when the vector TUs are
 /// not compiled in).
 ToneAccumFn toneAccumForLevel(rfp::common::simd::KernelLevel level);
-BeamformDotFn beamformDotForLevel(rfp::common::simd::KernelLevel level);
 BeamformRowFn beamformRowForLevel(rfp::common::simd::KernelLevel level);
 
 }  // namespace rfp::radar::detail

@@ -14,23 +14,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/fma_complex.h"
-
 namespace rfp::radar::detail {
-
-namespace {
-
-/// Lane-wise complex product a*b with the fma_complex.h pattern:
-/// even lanes fma(a.re, b.re, -(a.im*b.im)), odd fma(a.im, b.re,
-/// a.re*b.im).
-inline __m256d complexMul256(__m256d a, __m256d b) {
-  const __m256d bre = _mm256_movedup_pd(b);
-  const __m256d bim = _mm256_permute_pd(b, 0xF);
-  const __m256d t = _mm256_mul_pd(_mm256_permute_pd(a, 0x5), bim);
-  return _mm256_fmaddsub_pd(a, bre, t);
-}
-
-}  // namespace
 
 void toneAccumAvx2(Complex* dst, std::size_t n, Complex phasor, Complex rot) {
   // Lane prologue in plain complex arithmetic (this TU has
@@ -61,34 +45,6 @@ void toneAccumAvx2(Complex* dst, std::size_t n, Complex phasor, Complex rot) {
   _mm256_store_pd(reinterpret_cast<double*>(p), p01);
   _mm256_store_pd(reinterpret_cast<double*>(p + 2), p23);
   for (std::size_t j = 0; i + j < n; ++j) dst[i + j] += p[j];
-}
-
-Complex beamformDotAvx2(const Complex* s, const Complex* w, std::size_t n) {
-  __m256d acc01 = _mm256_setzero_pd();
-  __m256d acc23 = _mm256_setzero_pd();
-  const double* sd = reinterpret_cast<const double*>(s);
-  const double* wd = reinterpret_cast<const double*>(w);
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t k = 0;
-  for (; k < n4; k += 4) {
-    acc01 = _mm256_add_pd(acc01, complexMul256(_mm256_loadu_pd(sd + 2 * k),
-                                               _mm256_loadu_pd(wd + 2 * k)));
-    acc23 = _mm256_add_pd(
-        acc23, complexMul256(_mm256_loadu_pd(sd + 2 * k + 4),
-                             _mm256_loadu_pd(wd + 2 * k + 4)));
-  }
-  // Fixed combine (p0 + p2) + (p1 + p3): vector add pairs the mod-4
-  // lanes as {0,2} and {1,3}, the horizontal add sums the two pairs.
-  const __m256d sum = _mm256_add_pd(acc01, acc23);
-  const __m128d tot = _mm_add_pd(_mm256_castpd256_pd128(sum),
-                                 _mm256_extractf128_pd(sum, 1));
-  alignas(16) double out[2];
-  _mm_store_pd(out, tot);
-  Complex acc(out[0], out[1]);
-  for (; k < n; ++k) {
-    acc += rfp::common::simd::fmaComplexMul(s[k], w[k]);
-  }
-  return acc;
 }
 
 void beamformRowAvx2(const Complex* s, const Complex* w, const double* wReT,

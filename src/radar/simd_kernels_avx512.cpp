@@ -14,27 +14,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/fma_complex.h"
-
 // Spurious -Wmaybe-uninitialized from GCC's unmasked _mm512 permute
 // wrappers (GCC PR105593); see fft_kernels_avx512.cpp.
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 namespace rfp::radar::detail {
-
-namespace {
-
-/// Lane-wise complex product with the fma_complex.h pattern (the
-/// 512-bit twin of complexMul256 in simd_kernels_avx2.cpp).
-inline __m512d complexMul512(__m512d a, __m512d b) {
-  const __m512d bre = _mm512_movedup_pd(b);
-  const __m512d bim = _mm512_permute_pd(b, 0xFF);
-  const __m512d t = _mm512_mul_pd(_mm512_permute_pd(a, 0x55), bim);
-  return _mm512_fmaddsub_pd(a, bre, t);
-}
-
-}  // namespace
 
 void toneAccumAvx512(Complex* dst, std::size_t n, Complex phasor,
                      Complex rot) {
@@ -56,31 +41,6 @@ void toneAccumAvx512(Complex* dst, std::size_t n, Complex phasor,
   }
   _mm512_store_pd(reinterpret_cast<double*>(p), pv);
   for (std::size_t j = 0; i + j < n; ++j) dst[i + j] += p[j];
-}
-
-Complex beamformDotAvx512(const Complex* s, const Complex* w, std::size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  const double* sd = reinterpret_cast<const double*>(s);
-  const double* wd = reinterpret_cast<const double*>(w);
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t k = 0;
-  for (; k < n4; k += 4) {
-    acc = _mm512_add_pd(acc, complexMul512(_mm512_loadu_pd(sd + 2 * k),
-                                           _mm512_loadu_pd(wd + 2 * k)));
-  }
-  // Same fixed combine as the AVX2 kernel: {0,2} and {1,3} lane pairs
-  // first, then the pair sum.
-  const __m256d sum = _mm256_add_pd(_mm512_castpd512_pd256(acc),
-                                    _mm512_extractf64x4_pd(acc, 1));
-  const __m128d tot = _mm_add_pd(_mm256_castpd256_pd128(sum),
-                                 _mm256_extractf128_pd(sum, 1));
-  alignas(16) double out[2];
-  _mm_store_pd(out, tot);
-  Complex result(out[0], out[1]);
-  for (; k < n; ++k) {
-    result += rfp::common::simd::fmaComplexMul(s[k], w[k]);
-  }
-  return result;
 }
 
 void beamformRowAvx512(const Complex* s, const Complex* w,

@@ -58,10 +58,13 @@ struct DetectorOptions {
 
 /// Reusable workspace for PeakDetector::detectInto(): the noise-floor
 /// band buffer (the map cells inside the median's radix slice, or a full
-/// copy of the map on the fallback path) and the candidate list.
-/// One instance per pipeline.
+/// copy of the map on the fallback path), each row's largest cell as a
+/// bit pattern (+inf on the fallback path), one row's interior candidate
+/// columns, and the candidate list. One instance per pipeline.
 struct DetectScratch {
   std::vector<double> cells;
+  std::vector<std::uint64_t> rowMax;
+  std::vector<std::size_t> columns;
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
 };
 
@@ -78,7 +81,9 @@ class PeakDetector {
 
   /// Local maxima above noiseFloor * thresholdFactor, non-max suppressed,
   /// strongest-first, at most maxDetections. \p processor supplies the
-  /// radar geometry for world-coordinate conversion.
+  /// radar geometry for world-coordinate conversion. Throws
+  /// std::invalid_argument when the map's power grid does not hold
+  /// numRanges() x numAngles() cells.
   std::vector<Detection> detect(const radar::RangeAngleMap& map,
                                 const radar::Processor& processor) const;
 

@@ -108,6 +108,16 @@ TEST(Doppler, ValidationRejectsBadBursts) {
   EXPECT_THROW(computeRangeDoppler(badTiming, cfg), std::invalid_argument);
 }
 
+TEST(Doppler, RejectsRaggedFrames) {
+  // Antenna 2 of one chirp is short; only antenna 0 is transformed, but
+  // the frame is malformed all the same.
+  const RadarConfig cfg = testConfig();
+  rfp::common::Rng rng(5);
+  auto burst = movingTargetBurst(cfg, 5.0, 0.0, 1e-3, 4, rng);
+  burst[2].samples[2].resize(300);
+  EXPECT_THROW(computeRangeDoppler(burst, cfg), std::invalid_argument);
+}
+
 TEST(Doppler, RetriggeredPhantomSitsAtZeroDoppler) {
   // A per-chirp re-triggered switch (constant switch phase) makes the
   // phantom look *static* in Doppler -- the counter an MTI eavesdropper

@@ -1,14 +1,15 @@
 /// Determinism-contract tests for the runtime-dispatched SIMD kernel
 /// family (DESIGN.md Sec. 13): dispatch resolution and override, memcmp
 /// bit-identity of every available level against its scalar reference
-/// for all five kernel families (GEMM, tone synthesis, FFT butterflies,
-/// Eq. 2 beamforming, counter-based noise), bit-identity across the two
-/// FMA widths, thread
-/// invariance per level, and the documented cross-regime tolerance --
-/// asserted loudly so a regime drift fails CI instead of rotting.
+/// for all six kernel families (GEMM, tone synthesis, FFT butterflies,
+/// Eq. 2 beamforming, counter-based noise, map scans), bit-identity
+/// across the two FMA widths, thread invariance per level, and the
+/// documented cross-regime tolerance -- asserted loudly so a regime
+/// drift fails CI instead of rotting.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include "signal/fft.h"
 #include "signal/fft_kernels.h"
 #include "signal/noise_kernels.h"
+#include "tracking/map_scan_kernels.h"
 
 namespace rfp {
 namespace {
@@ -440,27 +442,7 @@ TEST(KernelTone, CrossRegimeDifferenceWithinDocumentedBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Eq. 2 beamforming dot product.
-
-TEST(KernelBeamform, EveryLevelBitIdenticalToItsReference) {
-  for (std::size_t n :
-       {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 16ul, 31ul}) {
-    const std::vector<Complex> s = randomComplex(n, 4000 + n);
-    const std::vector<Complex> w = randomComplex(n, 5000 + n);
-    for (KernelLevel level : simd::availableKernelLevels()) {
-      const radar::detail::BeamformDotFn fn =
-          radar::detail::beamformDotForLevel(level);
-      const radar::detail::BeamformDotFn refFn =
-          level == KernelLevel::kSse2 ? &radar::detail::beamformDotScalar
-                                      : &radar::detail::beamformDotFmaRef;
-      const Complex out = fn(s.data(), w.data(), n);
-      const Complex ref = refFn(s.data(), w.data(), n);
-      EXPECT_EQ(std::memcmp(&out, &ref, sizeof(Complex)), 0)
-          << "level=" << simd::kernelLevelName(level) << " n=" << n
-          << " out=" << out << " ref=" << ref;
-    }
-  }
-}
+// Eq. 2 beamforming dot product: the two regimes' per-angle chains.
 
 TEST(KernelBeamform, CrossRegimeDifferenceWithinDocumentedBound) {
   const std::size_t n = 64;
@@ -595,6 +577,144 @@ TEST(KernelAwgn, CrossRegimeWithinDocumentedBound) {
             << kKernelTol << " (DESIGN.md Sec. 13) at counter=" << counter
             << " stream=" << stream << " sample " << i
             << ": sse2=" << scalar[i] << " fma=" << fma[i];
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Map-scan kernels (PeakDetector's noise floor and threshold sweep): every
+// level against the scalar forms by memcmp, over row widths 1-17 (the
+// eight-lane split and its masked tail) and the paper map's 181. Eight
+// sentinels past every output prove the kernels write nothing beyond it.
+
+constexpr std::size_t kMapSentinels = 8;
+
+std::vector<std::size_t> mapRowWidths() {
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 17; ++n) widths.push_back(n);
+  widths.push_back(181);
+  return widths;
+}
+
+std::vector<double> exponentialCells(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<double> cells(n);
+  for (double& c : cells) c = rng.exponential(1.0);
+  return cells;
+}
+
+TEST(KernelMapScan, MinMaxRowsEveryLevelBitIdenticalToScalar) {
+  constexpr std::uint64_t kSentinel = 0x5eed5eed5eed5eedull;
+  constexpr std::size_t kRows = 3;
+  for (std::size_t cols : mapRowWidths()) {
+    // Row 0 peaks at its first column, row 1 at its last, row 2 holds a
+    // sign-bit cell (-0.0 at the first column, -1.0 elsewhere), whose
+    // pattern exceeds every non-negative one.
+    std::vector<double> cells = exponentialCells(kRows * cols, 900 + cols);
+    cells[0] = 1e3;
+    cells[2 * cols - 1] = 2e3;
+    cells[2 * cols + cols / 2] = cols == 1 ? -0.0 : -1.0;
+    for (std::size_t rows : {std::size_t{0}, std::size_t{1}, kRows}) {
+      std::vector<std::uint64_t> ref(rows + kMapSentinels, kSentinel);
+      const tracking::detail::BitRange want =
+          tracking::detail::minMaxRowsScalar(cells.data(), rows, cols,
+                                             ref.data());
+      for (KernelLevel level : simd::availableKernelLevels()) {
+        std::vector<std::uint64_t> out(rows + kMapSentinels, kSentinel);
+        const tracking::detail::BitRange got =
+            tracking::detail::mapScanKernelsForLevel(level).minMaxRows(
+                cells.data(), rows, cols, out.data());
+        EXPECT_TRUE(got.lo == want.lo && got.hi == want.hi &&
+                    std::memcmp(out.data(), ref.data(),
+                                out.size() * sizeof(std::uint64_t)) == 0)
+            << "level=" << simd::kernelLevelName(level) << " rows=" << rows
+            << " cols=" << cols;
+      }
+    }
+  }
+}
+
+TEST(KernelMapScan, CompactSliceEveryLevelBitIdenticalToScalar) {
+  const double sentinel = std::nan("0x5eed");
+  // The slice [lo, lo + width): cells at its first and last pattern and
+  // one pattern outside either end, among cells far inside and outside.
+  const std::uint64_t lo = std::bit_cast<std::uint64_t>(1.0);
+  const std::uint64_t width = std::uint64_t{1} << 20;
+  const std::uint64_t edges[] = {lo, lo + width - 1, lo - 1, lo + width};
+  for (std::size_t n : mapRowWidths()) {
+    common::Rng rng(950 + n);
+    std::vector<double> cells(n + kMapSentinels, sentinel);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = rng.uniform();
+      const std::uint64_t bits =
+          u < 0.4   ? edges[i % 4]
+          : u < 0.7 ? lo + static_cast<std::uint64_t>(rng.uniform() * 1e6)
+                    : std::bit_cast<std::uint64_t>(rng.exponential(1.0));
+      cells[i] = std::bit_cast<double>(bits);
+    }
+    std::vector<double> ref(n + kMapSentinels, sentinel);
+    const std::size_t want = tracking::detail::compactSliceScalar(
+        cells.data(), n, lo, width, ref.data());
+    for (KernelLevel level : simd::availableKernelLevels()) {
+      const tracking::detail::CompactSliceFn fn =
+          tracking::detail::mapScanKernelsForLevel(level).compactSlice;
+      std::vector<double> out(n + kMapSentinels, sentinel);
+      std::vector<double> inPlace = cells;
+      const std::size_t got = fn(cells.data(), n, lo, width, out.data());
+      const std::size_t gotInPlace =
+          fn(inPlace.data(), n, lo, width, inPlace.data());
+      // Entries from the count up to n are unspecified; the kept cells
+      // and the sentinels past n are not.
+      const auto same = [&](const std::vector<double>& v) {
+        return std::memcmp(v.data(), ref.data(), want * sizeof(double)) ==
+                   0 &&
+               std::memcmp(v.data() + n, ref.data() + n,
+                           kMapSentinels * sizeof(double)) == 0;
+      };
+      EXPECT_TRUE(got == want && same(out))
+          << "level=" << simd::kernelLevelName(level) << " n=" << n;
+      EXPECT_TRUE(gotInPlace == want && same(inPlace))
+          << "in place, level=" << simd::kernelLevelName(level)
+          << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelMapScan, LocalMaxRowEveryLevelBitIdenticalToScalar) {
+  constexpr std::size_t kSentinel = 0x5eed;
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t cols : mapRowWidths()) {
+    // Three rows of small integers, so equal neighbours (plateaus) are
+    // common, with NaN and -0.0 cells among them; peaks at the first and
+    // the last interior column.
+    common::Rng rng(990 + cols);
+    std::vector<double> rows(3 * cols);
+    for (double& c : rows) {
+      const double u = rng.uniform();
+      c = u < 0.05 ? nan : u < 0.1 ? -0.0 : std::floor(rng.uniform(0.0, 4.0));
+    }
+    double* row = rows.data() + cols;
+    if (cols >= 3) {
+      row[1] = 9.0;
+      row[cols - 2] = 9.0;
+    }
+    const std::size_t capacity = cols >= 2 ? cols - 2 : 0;
+    for (double threshold : {-inf, 0.5, 1.5, 9.0, nan}) {
+      std::vector<std::size_t> ref(capacity + kMapSentinels, kSentinel);
+      const std::size_t want = tracking::detail::localMaxRowScalar(
+          rows.data(), row, row + cols, cols, threshold, ref.data());
+      for (KernelLevel level : simd::availableKernelLevels()) {
+        std::vector<std::size_t> out(capacity + kMapSentinels, kSentinel);
+        const std::size_t got =
+            tracking::detail::mapScanKernelsForLevel(level).localMaxRow(
+                rows.data(), row, row + cols, cols, threshold, out.data());
+        EXPECT_TRUE(got == want &&
+                    std::memcmp(out.data(), ref.data(),
+                                out.size() * sizeof(std::size_t)) == 0)
+            << "level=" << simd::kernelLevelName(level) << " cols=" << cols
+            << " threshold=" << threshold;
       }
     }
   }

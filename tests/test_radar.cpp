@@ -249,6 +249,53 @@ TEST(Processor, FrameShapeMismatchThrows) {
   EXPECT_THROW(proc.process(bad), std::invalid_argument);
 }
 
+// A ragged frame -- antennas with different sample counts -- must be
+// rejected by every entry point, not sized by antenna 0. A paper frame
+// whose last antenna holds 1,500 samples made the range FFT write past
+// its per-antenna slot.
+TEST(Processor, RaggedFrameThrows) {
+  const RadarConfig cfg = testConfig();
+  const Frontend fe(cfg);
+  const Processor proc(cfg);
+  rfp::common::Rng rng(43);
+  Frame frame = fe.synthesize({}, 0.0, rng);
+  frame.samples.back().resize(1500);
+  EXPECT_THROW(proc.process(frame), std::invalid_argument);
+}
+
+TEST(Processor, BackgroundDiffRejectsRaggedFrames) {
+  const RadarConfig cfg = testConfig();
+  const Frontend fe(cfg);
+  rfp::common::Rng rng(47);
+  const Frame frame = fe.synthesize({}, 0.0, rng);
+  Frame shortAntenna = frame;
+  shortAntenna.samples[1].resize(400);
+  // A ragged frame stored at priming, then a full one: the difference
+  // read past the stored antenna.
+  Processor primedRagged(cfg);
+  EXPECT_THROW(
+      {
+        primedRagged.backgroundDiff(shortAntenna);
+        primedRagged.backgroundDiff(frame);
+      },
+      std::invalid_argument);
+  // A full frame stored, then one with a longer antenna 1.
+  Frame longAntenna = frame;
+  longAntenna.samples[1].resize(600);
+  Processor primedFull(cfg);
+  EXPECT_EQ(primedFull.backgroundDiff(frame), nullptr);
+  EXPECT_THROW(primedFull.backgroundDiff(longAntenna), std::invalid_argument);
+}
+
+TEST(Frame, SubtractionRejectsRaggedFrames) {
+  Frame even;
+  even.samples.assign(2, std::vector<Complex>(4, {1.0, 0.0}));
+  Frame ragged = even;
+  ragged.samples[1].resize(6);
+  EXPECT_THROW(ragged - even, std::invalid_argument);
+  EXPECT_THROW(even - ragged, std::invalid_argument);
+}
+
 TEST(Frame, SubtractionChecksShape) {
   Frame a;
   a.samples.assign(2, std::vector<Complex>(4, {1.0, 0.0}));

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -15,6 +17,7 @@
 #include "core/harness.h"
 #include "core/rfprotect_system.h"
 #include "core/scenario.h"
+#include "core/scenario_config.h"
 #include "linalg/decompositions.h"
 #include "linalg/matrix.h"
 #include "radar/frontend.h"
@@ -679,14 +682,16 @@ TEST(NoiseFloor, EmptyMapIsZero) {
 }
 
 /// detectInto's contract spelled out the slow way: threshold = factor x
-/// the median of a fully sorted copy, candidates = cells above it that no
-/// 8-neighbour exceeds (nested loops, clipped at the map edge).
-std::vector<Detection> bruteForceCandidates(const radar::RangeAngleMap& map,
+/// the noise floor's definition (the value nth_element leaves at index
+/// n / 2 of a copy), candidates = cells above it that no 8-neighbour
+/// exceeds, collected by nested loops in row-major order (clipped at the
+/// map edge) and put strongest-first by the same std::sort call the
+/// detector makes. That sort is not stable, so equal-power candidates
+/// come out in an order that depends on the row-major input order.
+std::vector<Detection> nestedLoopDetections(const radar::RangeAngleMap& map,
                                             double thresholdFactor) {
-  std::vector<double> sorted = map.power;
-  std::sort(sorted.begin(), sorted.end());
-  const double threshold = sorted[sorted.size() / 2] * thresholdFactor;
-  std::vector<Detection> out;
+  const double threshold = nthElementMedian(map.power) * thresholdFactor;
+  std::vector<std::pair<std::size_t, std::size_t>> candidates;
   const auto nR = static_cast<long>(map.numRanges());
   const auto nA = static_cast<long>(map.numAngles());
   for (long r = 0; r < nR; ++r) {
@@ -705,19 +710,61 @@ std::vector<Detection> bruteForceCandidates(const radar::RangeAngleMap& map,
           if (map.at(rr, aa) > v) isMax = false;
         }
       }
-      if (!isMax) continue;
-      Detection d;
-      d.rangeM = map.rangesM[r];
-      d.angleRad = map.anglesRad[a];
-      d.power = v;
-      out.push_back(d);
+      if (isMax) candidates.emplace_back(r, a);
     }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [&](const auto& x, const auto& y) {
+              return map.at(x.first, x.second) > map.at(y.first, y.second);
+            });
+  std::vector<Detection> out;
+  for (const auto& [r, a] : candidates) {
+    Detection d;
+    d.rangeM = map.rangesM[r];
+    d.angleRad = map.anglesRad[a];
+    d.power = map.at(r, a);
+    out.push_back(d);
   }
   return out;
 }
 
-TEST(PeakDetector, DetectIntoMatchesBruteForceOnOfficeFrames) {
-  const core::Scenario scenario = core::makeOfficeScenario();
+/// A detector that returns every candidate: no NMS, no dynamic-range
+/// cut, no cap, no world gate.
+PeakDetector everyCandidateDetector(DetectorOptions opts) {
+  opts.minSeparationM = 0.0;
+  opts.minSeparationRad = 0.0;
+  opts.dynamicRangeDb = 0.0;
+  opts.maxDetections = std::numeric_limits<std::size_t>::max();
+  opts.bounds.reset();
+  return PeakDetector(opts);
+}
+
+/// detectInto's detections equal nestedLoopDetections(), in order and
+/// bit for bit; returns how many there are.
+std::size_t expectDetectIntoMatchesNestedLoops(
+    const PeakDetector& detector, const radar::RangeAngleMap& map,
+    const radar::Processor& processor, DetectScratch& scratch,
+    const std::string& what) {
+  std::vector<Detection> got;
+  detector.detectInto(map, processor, scratch, got);
+  const std::vector<Detection> want =
+      nestedLoopDetections(map, detector.options().thresholdFactor);
+  EXPECT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    EXPECT_TRUE(sameBits(got[i].power, want[i].power) &&
+                sameBits(got[i].rangeM, want[i].rangeM) &&
+                sameBits(got[i].angleRad, want[i].angleRad))
+        << what << " candidate " << i << ": got (" << got[i].rangeM << ", "
+        << got[i].angleRad << ") want (" << want[i].rangeM << ", "
+        << want[i].angleRad << ")";
+  }
+  return got.size();
+}
+
+/// Runs 41 frames of \p scenario with a ghost (the first primes the
+/// background subtraction) and checks every map's noise floor and
+/// detections against the slow references. Returns the candidate count.
+std::size_t checkScenarioFrames(const core::Scenario& scenario) {
   rfp::common::Rng rng(2024);
   trajectory::HumanWalkModel model;
   const trajectory::Trace trace = trajectory::centered(model.sample(rng));
@@ -726,23 +773,14 @@ TEST(PeakDetector, DetectIntoMatchesBruteForceOnOfficeFrames) {
   system.addGhostAuto(trace, 2.0 * dt, scenario.plan, rng);
   env::Environment environment(scenario.plan);
   core::EavesdropperRadar radar(scenario.sensing);
-
-  // Every candidate is returned: no NMS, no dynamic-range cut, no cap,
-  // no world gate.
-  DetectorOptions opts = scenario.sensing.detector;
-  opts.minSeparationM = 0.0;
-  opts.minSeparationRad = 0.0;
-  opts.dynamicRangeDb = 0.0;
-  opts.maxDetections = std::numeric_limits<std::size_t>::max();
-  opts.bounds.reset();
-  const PeakDetector detector(opts);
+  const PeakDetector detector =
+      everyCandidateDetector(scenario.sensing.detector);
 
   std::vector<env::PointScatterer> scene;
   radar::Frame frame;
   radar::RangeAngleMap map;
   radar::ProcessorScratch processorScratch;
   DetectScratch detectScratch;
-  std::vector<Detection> detections;
   std::size_t frames = 0;
   std::size_t candidates = 0;
   for (int f = 0; f < 41; ++f) {
@@ -753,40 +791,110 @@ TEST(PeakDetector, DetectIntoMatchesBruteForceOnOfficeFrames) {
     const radar::Frame* diff = radar.backgroundDiff(frame);
     if (diff == nullptr) continue;
     radar.processor().processInto(*diff, map, processorScratch);
-    detector.detectInto(map, radar.processor(), detectScratch, detections);
 
     std::vector<double> sorted = map.power;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_TRUE(
         sameBits(PeakDetector::noiseFloor(map), sorted[sorted.size() / 2]))
         << "frame " << f;
-
-    for (std::size_t i = 1; i < detections.size(); ++i) {
-      EXPECT_LE(detections[i].power, detections[i - 1].power);
-    }
-    // Equal-power candidates may come in either order; compare as sorted
-    // (power, range, angle) lists, bit for bit.
-    const auto byKey = [](const Detection& x, const Detection& y) {
-      return std::tie(x.power, x.rangeM, x.angleRad) <
-             std::tie(y.power, y.rangeM, y.angleRad);
-    };
-    std::vector<Detection> want =
-        bruteForceCandidates(map, opts.thresholdFactor);
-    std::vector<Detection> got = detections;
-    std::sort(want.begin(), want.end(), byKey);
-    std::sort(got.begin(), got.end(), byKey);
-    ASSERT_EQ(got.size(), want.size()) << "frame " << f;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_TRUE(sameBits(got[i].power, want[i].power) &&
-                  sameBits(got[i].rangeM, want[i].rangeM) &&
-                  sameBits(got[i].angleRad, want[i].angleRad))
-          << "frame " << f << " candidate " << i;
-    }
+    candidates += expectDetectIntoMatchesNestedLoops(
+        detector, map, radar.processor(), detectScratch,
+        "frame " + std::to_string(f));
     ++frames;
-    candidates += got.size();
   }
   EXPECT_EQ(frames, 40u);
-  EXPECT_GT(candidates, frames);
+  return candidates;
+}
+
+TEST(PeakDetector, DetectIntoMatchesBruteForceOnOfficeFrames) {
+  EXPECT_GT(checkScenarioFrames(core::makeOfficeScenario()), 40u);
+}
+
+TEST(PeakDetector, DetectIntoMatchesBruteForceOnToyFrames) {
+  // The fleet benchmark's cost-reduced radar: 8 samples x 3 antennas, a
+  // 2-row map, so every row is a border row.
+  std::istringstream text(
+      "room.name = fleet-home\nradar.sample_rate = 16000\n"
+      "radar.antennas = 3\npanel.count = 4\n");
+  const core::Scenario scenario = core::loadScenario(text);
+  EXPECT_GT(checkScenarioFrames(scenario), 0u);
+}
+
+/// A map of exponential noise with distinct range and angle axes, so a
+/// detection's (range, angle) names its cell.
+radar::RangeAngleMap noiseMap(std::size_t nR, std::size_t nA,
+                              std::uint64_t seed) {
+  radar::RangeAngleMap map;
+  for (std::size_t r = 0; r < nR; ++r) map.rangesM.push_back(1.0 + 0.1 * r);
+  for (std::size_t a = 0; a < nA; ++a) {
+    map.anglesRad.push_back(0.01 * static_cast<double>(a + 1));
+  }
+  rfp::common::Rng rng(seed);
+  map.power.resize(nR * nA);
+  for (double& c : map.power) c = rng.exponential(1.0);
+  return map;
+}
+
+TEST(PeakDetector, DetectIntoMatchesBruteForceOnSyntheticMaps) {
+  const radar::Processor processor(testRadar());
+  const PeakDetector detector = everyCandidateDetector(DetectorOptions{});
+  DetectScratch scratch;
+  const auto check = [&](const radar::RangeAngleMap& map,
+                         const std::string& what) {
+    return expectDetectIntoMatchesNestedLoops(detector, map, processor,
+                                              scratch, what);
+  };
+
+  // Equal peaks on every border row and column, the four corners among
+  // them, and plateaus of equal neighbours inside and along an edge.
+  radar::RangeAngleMap borders = noiseMap(6, 10, 1);
+  for (const auto& [r, a] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 0}, {0, 4}, {0, 9}, {5, 0}, {5, 5}, {5, 9}, {2, 0}, {3, 9}}) {
+    borders.at(r, a) = 100.0;
+  }
+  EXPECT_EQ(check(borders, "border peaks"), 8u);
+  radar::RangeAngleMap plateaus = noiseMap(6, 10, 2);
+  for (std::size_t r = 2; r <= 3; ++r) {
+    for (std::size_t a = 3; a <= 5; ++a) plateaus.at(r, a) = 50.0;
+  }
+  for (std::size_t a = 6; a <= 9; ++a) plateaus.at(0, a) = 50.0;
+  plateaus.at(5, 1) = 50.0;
+  EXPECT_EQ(check(plateaus, "plateaus"), 11u);
+
+  // Every cell in [1, 2): no row holds a cell above 8 x the median.
+  radar::RangeAngleMap flat = noiseMap(6, 10, 3);
+  for (double& c : flat.power) c = 1.0 + c / (1.0 + c);
+  EXPECT_EQ(check(flat, "no row above the threshold"), 0u);
+
+  // A NaN or a negative cell sends the floor down the copy path; the
+  // sweep must still visit every row.
+  for (const double odd : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    radar::RangeAngleMap map = borders;
+    map.at(3, 4) = odd;
+    map.at(2, 6) = 70.0;
+    const std::string what =
+        std::isnan(odd) ? "one NaN cell" : "one negative cell";
+    EXPECT_EQ(check(map, what), 9u);
+  }
+
+  // Narrow and odd widths around the eight-lane split, with ties.
+  for (const std::size_t nA : {1, 2, 3, 8, 9, 10}) {
+    radar::RangeAngleMap map = noiseMap(40, nA, 10 + nA);
+    for (std::size_t r = 0; r < 40; r += 13) map.at(r, (r / 13) % nA) = 80.0;
+    map.at(20, nA - 1) = 90.0;
+    map.at(30, nA / 2) = 90.0;
+    EXPECT_GE(check(map, "numAngles " + std::to_string(nA)), 6u);
+  }
+}
+
+TEST(PeakDetector, DetectIntoRejectsAMapWhosePowerDoesNotMatchItsAxes) {
+  const radar::Processor processor(testRadar());
+  radar::RangeAngleMap map = noiseMap(4, 5, 4);
+  map.power.pop_back();
+  DetectScratch scratch;
+  std::vector<Detection> out;
+  EXPECT_THROW(PeakDetector().detectInto(map, processor, scratch, out),
+               std::invalid_argument);
 }
 
 Detection makeDetection(Vec2 world, double t, double power = 1.0) {
