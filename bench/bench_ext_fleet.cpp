@@ -8,8 +8,9 @@
 ///     (cost-reduced radar: 8 samples x 3 antennas) submitted at once and
 ///     run to completion over the shared pool. Reported per scale:
 ///     scenarios/sec, p50/p99 epoch-round latency (the wall time of one
-///     lockstep epoch round -- the latency an epoch experiences), and the
-///     shed/failed counters (expected 0 on the clean sweep).
+///     step(), which runs every active scenario's epoch as one pool task
+///     -- the latency an epoch experiences), and the shed/failed counters
+///     (expected 0 on the clean sweep).
 ///   - chaos: a 16-active shard mid-run hit by 4 poison scenarios, 4 stuck
 ///     scenarios (work-budget deadline), and an overload burst that drives
 ///     admission through queue -> shed_lowest -> reject_new.
@@ -45,7 +46,6 @@
 #include "core/scenario.h"
 #include "core/scenario_config.h"
 #include "fault/scenario_fault.h"
-#include "radar/batch.h"
 #include "radar/processor.h"
 #include "service/fleet_engine.h"
 #include "trajectory/human_walk.h"
@@ -159,23 +159,20 @@ std::vector<std::uint8_t> runScenarioBytes(bool sceneCache) {
   core::SpoofEpochRunner runner(scenario, system, ghostId, start, rng,
                                 /*schedule=*/nullptr, sceneCache);
 
-  radar::ProcessorScratch scratch;
-  core::SpoofEpochSample epoch;
   std::vector<std::uint8_t> bytes;
   const auto append = [&bytes](const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     bytes.insert(bytes.end(), b, b + n);
   };
   while (!runner.done()) {
-    radar::FrameWorkItem item;
-    if (!runner.produceFrame(epoch, item)) continue;
-    for (const auto& row : item.frame->samples) {
+    runner.runFrames(1);
+    const radar::Frame* diff = runner.lastDiff();
+    if (diff == nullptr) continue;
+    for (const auto& row : diff->samples) {
       append(row.data(), row.size() * sizeof(radar::Complex));
     }
-    item.processor->processInto(*item.frame, *item.out, scratch);
-    append(item.out->power.data(),
-           item.out->power.size() * sizeof(double));
-    runner.consumeFrame(epoch);
+    const radar::RangeAngleMap& map = runner.lastMap();
+    append(map.power.data(), map.power.size() * sizeof(double));
   }
   return bytes;
 }

@@ -9,15 +9,19 @@
 /// process lifetime.
 ///
 /// The budget is resolved once from the `RFP_CACHE_MB` environment
-/// variable (whole megabytes, clamped to [1, 65536]; unparsable values
-/// are ignored), defaulting to 64 MB, and is split evenly between the
-/// two caches. Each cache evicts least-recently-used entries when its
-/// half exceeds the budget; entries are handed out as shared_ptr, so
-/// eviction never invalidates data a frame in flight still holds.
+/// variable (whole megabytes, clamped to [1, 65536]; anything but a
+/// positive decimal count is ignored, common/env_count.h), defaulting to
+/// 64 MB, and is split evenly between the two caches. Each cache evicts
+/// least-recently-used entries when its half exceeds the budget; entries
+/// are handed out as shared_ptr, so eviction never invalidates data a
+/// frame in flight still holds.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
+#include <cstdint>
+
+#include "common/env_count.h"
 
 namespace rfp::common {
 
@@ -28,14 +32,9 @@ inline std::size_t resolveCacheBudgetBytes() {
   constexpr std::size_t kMinMb = 1;
   constexpr std::size_t kMaxMb = 65536;
   std::size_t mb = kDefaultMb;
-  if (const char* env = std::getenv("RFP_CACHE_MB")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      mb = static_cast<std::size_t>(parsed);
-      if (mb < kMinMb) mb = kMinMb;
-      if (mb > kMaxMb) mb = kMaxMb;
-    }
+  if (const auto parsed = envPositiveCount("RFP_CACHE_MB")) {
+    mb = static_cast<std::size_t>(
+        std::clamp<std::uint64_t>(*parsed, kMinMb, kMaxMb));
   }
   return mb * std::size_t{1024} * std::size_t{1024};
 }

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdlib>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+
+#include "common/env_count.h"
 
 namespace rfp::common {
 
@@ -28,12 +30,8 @@ struct ThreadPool::Impl {
 };
 
 std::size_t ThreadPool::resolveThreadCount() {
-  if (const char* env = std::getenv("RFP_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
-      return std::min<std::size_t>(parsed, 256);
-    }
+  if (const auto parsed = envPositiveCount("RFP_THREADS")) {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(*parsed, 256));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

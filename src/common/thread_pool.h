@@ -14,7 +14,9 @@
 ///
 /// Sizing. A default-constructed pool takes its worker count from the
 /// `RFP_THREADS` environment variable when set (clamped to [1, 256];
-/// unparsable values are ignored), else `std::thread::hardware_concurrency`.
+/// anything but a positive decimal count -- a sign, zero, trailing text --
+/// is ignored, common/env_count.h), else
+/// `std::thread::hardware_concurrency`.
 /// With one worker no threads are spawned at all and every job runs
 /// inline on the calling thread.
 

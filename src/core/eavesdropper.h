@@ -6,15 +6,14 @@
 /// The legitimate sensor reuses the same sensing stack (Sec. 11.3) -- the
 /// only difference is what it does with the ledger.
 ///
-/// The stack owns a radar::SceneCache (on by default; RFP_SCENE_CACHE=0
-/// or setSceneCacheEnabled(false) disables it) so repeated synthesis of a
+/// The stack owns a radar::SceneCache (on by default; the constructor
+/// flag or RFP_SCENE_CACHE=0 disables it) so repeated synthesis of a
 /// mostly-static scene re-sums memoized beat-tone rows instead of
 /// re-deriving them -- bit-identical either way (scene_cache.h). The
-/// observeFrame() pipeline is also exposed as split phases
-/// (backgroundDiff / processor().processInto / observeDetections) so the
-/// fleet service can batch the middle phase across scenarios
-/// (radar/batch.h) without a second code path: observe()/observeFrame()
-/// are themselves composed from the same pieces.
+/// observeFrame() pipeline is also exposed as its steps (backgroundDiff /
+/// processor().processInto / observeDetections) so a frame loop can run
+/// it on reused buffers without a second code path: observe() and
+/// observeFrame() are themselves composed from the same pieces.
 
 #include <optional>
 #include <span>
@@ -87,7 +86,7 @@ class EavesdropperRadar {
     return processor_.process(frame);
   }
 
-  // --- Split phases of observeFrame() (batched execution) ---
+  // --- Steps of observeFrame() on reused storage ---
 
   /// Background-subtraction phase: nullptr primes (first frame),
   /// otherwise the internally stored difference frame, valid until the
@@ -103,8 +102,6 @@ class EavesdropperRadar {
 
   /// Scene-cache controls. invalidateSceneCache() drops memoized rows
   /// (the harness calls it on frame-corrupting fault events).
-  void setSceneCacheEnabled(bool enabled) { sceneCacheEnabled_ = enabled; }
-  bool sceneCacheEnabled() const { return sceneCacheEnabled_; }
   const radar::SceneCache& sceneCache() const { return sceneCache_; }
   void invalidateSceneCache() { sceneCache_.invalidate(); }
 

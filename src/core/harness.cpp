@@ -157,14 +157,12 @@ struct SpoofEpochRunner::Impl {
         duration(startTimeS + rfp::common::kTraceDurationS + 2.0 * dt),
         follower(/*gateM=*/1.2) {}
 
-  /// Phase A of one loop iteration at the current time cursor. When a
-  /// schedule is attached, radar-side faults apply: dropped chirp frames
-  /// are skipped (the actuator still advances via injectAt) and
-  /// ADC-saturation episodes clip the frame between synthesis and
-  /// processing. Returns true when a difference frame is pending in
-  /// \p item; phase B (processing) and consumeFrame must follow.
-  bool produceFrame(SpoofEpochSample& epoch, radar::FrameWorkItem& item) {
-    pendingMap = false;
+  /// One loop iteration at the current time cursor. When a schedule is
+  /// attached, radar-side faults apply: dropped chirp frames are skipped
+  /// (the actuator still advances via injectAt) and ADC-saturation
+  /// episodes clip the frame between synthesis and processing.
+  void stepFrame(SpoofEpochSample& epoch) {
+    lastDiff = nullptr;
     const double t = tCursor;
     tCursor += dt;
     ++epoch.framesSimulated;
@@ -181,7 +179,7 @@ struct SpoofEpochRunner::Impl {
       // (correctness never depends on this -- entries are keyed on pure
       // physics -- but it keeps the fault path trivially auditable).
       radar.invalidateSceneCache();
-      return false;
+      return;
     }
     combineScatterersInto(scatterers, environment, t, rng,
                           scenario.snapshot, injected);
@@ -191,22 +189,9 @@ struct SpoofEpochRunner::Impl {
       radar.invalidateSceneCache();
     }
     const radar::Frame* diff = radar.backgroundDiff(frameBuf);
-    if (diff == nullptr) return false;
-
-    pendingMap = true;
-    pendingT = t;
-    item.processor = &radar.processor();
-    item.frame = diff;
-    item.out = &mapBuf;
-    return true;
-  }
-
-  /// Phase C: detection, tracking, follower, and error metrics over the
-  /// processed map. No-op unless produceFrame returned true this frame.
-  void consumeFrame(SpoofEpochSample& epoch) {
-    if (!pendingMap) return;
-    pendingMap = false;
-    const double t = pendingT;
+    if (diff == nullptr) return;
+    radar.processor().processInto(*diff, mapBuf, processorScratch);
+    lastDiff = diff;
 
     radar.observeDetections(mapBuf, t, detections);
 
@@ -233,17 +218,6 @@ struct SpoofEpochRunner::Impl {
     epoch.sumAngleErrorDeg += angleError;
   }
 
-  /// One full loop iteration: produce + solo process + consume. The
-  /// batched path runs the same phases with processFrameBatch in the
-  /// middle, so the two executions are the same statements per frame.
-  void stepFrame(SpoofEpochSample& epoch) {
-    radar::FrameWorkItem item;
-    if (produceFrame(epoch, item)) {
-      item.processor->processInto(*item.frame, *item.out, processorScratch);
-      consumeFrame(epoch);
-    }
-  }
-
   const Scenario& scenario;
   RfProtectSystem& system;
   int ghostId;
@@ -257,14 +231,13 @@ struct SpoofEpochRunner::Impl {
   double tCursor = 0.0;
   SpoofRunResult result;
 
-  // Reused per-frame buffers (split-phase state).
+  // Reused per-frame buffers.
   std::vector<env::PointScatterer> scatterers;
   radar::Frame frameBuf;
   radar::RangeAngleMap mapBuf;
   std::vector<tracking::Detection> detections;
   radar::ProcessorScratch processorScratch;
-  bool pendingMap = false;
-  double pendingT = 0.0;
+  const radar::Frame* lastDiff = nullptr;
 };
 
 SpoofEpochRunner::SpoofEpochRunner(const Scenario& scenario,
@@ -289,13 +262,12 @@ SpoofEpochSample SpoofEpochRunner::runFrames(std::size_t maxFrames) {
   return epoch;
 }
 
-bool SpoofEpochRunner::produceFrame(SpoofEpochSample& epoch,
-                                    radar::FrameWorkItem& item) {
-  return impl_->produceFrame(epoch, item);
+const radar::Frame* SpoofEpochRunner::lastDiff() const {
+  return impl_->lastDiff;
 }
 
-void SpoofEpochRunner::consumeFrame(SpoofEpochSample& epoch) {
-  impl_->consumeFrame(epoch);
+const radar::RangeAngleMap& SpoofEpochRunner::lastMap() const {
+  return impl_->mapBuf;
 }
 
 const radar::SceneCache& SpoofEpochRunner::sceneCache() const {

@@ -18,7 +18,6 @@
 #include "core/scenario.h"
 #include "fault/fault_schedule.h"
 #include "fault/self_healing.h"
-#include "radar/batch.h"
 #include "trajectory/trace.h"
 #include "transport/control_link.h"
 
@@ -96,22 +95,14 @@ class SpoofEpochRunner {
   /// returns the metrics accumulated over exactly those frames.
   SpoofEpochSample runFrames(std::size_t maxFrames);
 
-  /// Split-phase stepping for cross-scenario batched execution. One
-  /// frame = produceFrame, then -- only when it returned true -- process
-  /// the item (radar::processFrameBatch across many runners, or
-  /// Processor::processInto solo) and call consumeFrame.
-  ///
-  /// produceFrame advances the clock and runs actuation, fault lookup,
-  /// scene snapshot, (cached) synthesis, ADC saturation, and background
-  /// subtraction; on true, \p item points at this runner's pending
-  /// difference frame and reused output map. False means nothing to
-  /// process this frame (dropped / priming); do not consume.
-  /// consumeFrame runs detection, tracking, the follower, and the error
-  /// metrics over the processed map. runFrames() is composed of exactly
-  /// these phases, so solo and batched execution cannot drift; batching
-  /// changes wall-clock only, never bits (DESIGN.md Sec. 14).
-  bool produceFrame(SpoofEpochSample& epoch, radar::FrameWorkItem& item);
-  void consumeFrame(SpoofEpochSample& epoch);
+  /// Read-only view of the last frame runFrames() ran: the background
+  /// difference frame it processed, or nullptr when that frame produced
+  /// no map (fault-dropped or priming background subtraction). Valid
+  /// until the next runFrames() call.
+  const radar::Frame* lastDiff() const;
+  /// The range-angle map of the last frame whose lastDiff() was non-null
+  /// (reused storage, overwritten by the next processed frame).
+  const radar::RangeAngleMap& lastMap() const;
 
   /// Scene-cache statistics of the underlying eavesdropper stack.
   const radar::SceneCache& sceneCache() const;

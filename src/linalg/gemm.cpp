@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "common/cpuid.h"
+#include "common/env_count.h"
 #include "common/thread_pool.h"
 #include "linalg/gemm_kernels.h"
 
@@ -52,15 +53,9 @@ MicroKernelEntry microKernelForLevel(KernelLevel level) {
 /// level's nr, clamped to [nr, 8192]); perf-only, never affects results.
 std::size_t resolveNc(std::size_t nrMax) {
   static const std::size_t raw = [] {
-    std::size_t v = 256;
-    if (const char* env = std::getenv("RFP_GEMM_NC")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        v = static_cast<std::size_t>(parsed);
-      }
-    }
-    return std::min<std::size_t>(v, 8192);
+    const auto parsed = rfp::common::envPositiveCount("RFP_GEMM_NC");
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(parsed.value_or(256), 8192));
   }();
   const std::size_t rounded = ((raw + nrMax - 1) / nrMax) * nrMax;
   return std::clamp<std::size_t>(rounded, nrMax, 8192);

@@ -289,153 +289,29 @@ void FleetEngine::ensureJob(Slot& slot) {
   slot.job = std::move(job);
 }
 
-template <typename Fn>
-bool FleetEngine::contain(Slot& slot, Fn&& fn) noexcept {
+void FleetEngine::runOneEpoch(Slot& slot) noexcept {
+  // The containment ladder: any throw becomes the slot's staged FAILED
+  // outcome instead of unwinding into the pool.
   try {
-    fn();
-    return true;
+    ensureJob(slot);
+    EpochContext ctx(config_.epochWorkBudget);
+    slot.stagedMetrics = slot.job->runEpoch(ctx);
+    slot.stagedDone = slot.job->done();
+    if (slot.stagedDone) slot.stagedSummary = slot.job->summary();
+    slot.outcome = Slot::Outcome::kRan;
+    return;
   } catch (const ScenarioError& e) {
     slot.stagedReason = e.what();  // already "file:line: reason"
-    slot.outcome = Slot::Outcome::kFailedOut;
   } catch (const std::bad_alloc&) {
     slot.stagedReason =
         std::string(RFP_SERVICE_HERE) + ": allocation failure (std::bad_alloc)";
-    slot.outcome = Slot::Outcome::kFailedOut;
   } catch (const std::exception& e) {
     slot.stagedReason = std::string(RFP_SERVICE_HERE) + ": " + e.what();
-    slot.outcome = Slot::Outcome::kFailedOut;
   } catch (...) {
     slot.stagedReason =
         std::string(RFP_SERVICE_HERE) + ": non-standard exception";
-    slot.outcome = Slot::Outcome::kFailedOut;
   }
-  return false;
-}
-
-void FleetEngine::runEpochBody(Slot& slot) {
-  EpochContext ctx(config_.epochWorkBudget);
-  slot.stagedMetrics = slot.job->runEpoch(ctx);
-  slot.stagedDone = slot.job->done();
-  if (slot.stagedDone) slot.stagedSummary = slot.job->summary();
-  slot.outcome = Slot::Outcome::kRan;
-}
-
-void FleetEngine::runOneEpoch(Slot& slot) noexcept {
-  contain(slot, [&] {
-    ensureJob(slot);
-    runEpochBody(slot);
-  });
-}
-
-void FleetEngine::runBatchedRound(std::size_t n) {
-  /// Per-slot split-phase state for this round; owned by the step thread,
-  /// each element touched by at most one worker per pool pass.
-  struct BatchState {
-    BatchableJob* batch = nullptr;  ///< null: whole-epoch run or failed out
-    std::unique_ptr<EpochContext> ctx;
-    bool inEpoch = false;  ///< this slot's frame loop is still running
-    bool hasItem = false;  ///< produced a frame pending processing
-    radar::FrameWorkItem item{};
-  };
-  std::vector<BatchState> states(n);
-
-  // Phase 1 (parallel): lazy job construction + epoch begin. Chaos
-  // scripts and poison scenario files trip the same containment boundary
-  // as a whole-epoch run; jobs without a split-phase interface execute
-  // their full epoch here.
-  pool_->parallelFor(0, n, [this, &states](std::size_t i) {
-    Slot& slot = *active_[i];
-    BatchState& st = states[i];
-    const bool ok = contain(slot, [&] {
-      ensureJob(slot);
-      BatchableJob* batch = slot.job->batchable();
-      if (batch == nullptr) {
-        runEpochBody(slot);
-        return;
-      }
-      st.ctx = std::make_unique<EpochContext>(config_.epochWorkBudget);
-      batch->batchEpochBegin(*st.ctx);
-      st.batch = batch;
-      st.inEpoch = true;
-    });
-    if (!ok || !st.inEpoch) {
-      slot.running.store(false, std::memory_order_release);
-    }
-  });
-
-  std::vector<std::size_t> live;
-  live.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (states[i].inEpoch) live.push_back(i);
-  }
-
-  // Frame-lockstep loop: produce one frame of every live scenario in
-  // parallel, process the whole shard's frames as one coalesced batch
-  // (two planned pool passes), consume in parallel. Scenarios leave the
-  // loop at their own epoch boundary (or on a contained failure).
-  radar::BatchScratch scratch;
-  std::vector<radar::FrameWorkItem> items;
-  std::vector<std::size_t> next;
-  while (!live.empty()) {
-    pool_->parallelFor(0, live.size(), [this, &states,
-                                        &live](std::size_t k) {
-      const std::size_t i = live[k];
-      Slot& slot = *active_[i];
-      BatchState& st = states[i];
-      st.hasItem = false;
-      const bool ok = contain(slot, [&] {
-        if (!st.batch->batchProduce(*st.ctx, st.item, st.hasItem)) {
-          st.inEpoch = false;
-        }
-      });
-      if (!ok) {
-        st.inEpoch = false;
-        st.batch = nullptr;  // failed out: no epoch end for this slot
-        st.hasItem = false;
-      }
-    });
-
-    items.clear();
-    for (const std::size_t i : live) {
-      if (states[i].hasItem) items.push_back(states[i].item);
-    }
-    if (!items.empty()) radar::processFrameBatch(items, scratch, pool_);
-
-    pool_->parallelFor(0, live.size(), [this, &states,
-                                        &live](std::size_t k) {
-      const std::size_t i = live[k];
-      BatchState& st = states[i];
-      if (!st.hasItem) return;
-      Slot& slot = *active_[i];
-      if (!contain(slot, [&] { st.batch->batchConsume(); })) {
-        st.inEpoch = false;
-        st.batch = nullptr;
-        st.hasItem = false;
-      }
-    });
-
-    // Epoch end + compaction (step thread; summary() is once per
-    // scenario lifetime, so serial cost is negligible).
-    next.clear();
-    for (const std::size_t i : live) {
-      BatchState& st = states[i];
-      if (st.inEpoch) {
-        next.push_back(i);
-        continue;
-      }
-      Slot& slot = *active_[i];
-      if (st.batch != nullptr) {
-        contain(slot, [&] {
-          slot.stagedMetrics = st.batch->batchEpochEnd();
-          slot.stagedDone = slot.job->done();
-          if (slot.stagedDone) slot.stagedSummary = slot.job->summary();
-          slot.outcome = Slot::Outcome::kRan;
-        });
-      }
-      slot.running.store(false, std::memory_order_release);
-    }
-    live.swap(next);
-  }
+  slot.outcome = Slot::Outcome::kFailedOut;
 }
 
 void FleetEngine::retire(std::unique_ptr<Slot> slot) {
@@ -488,14 +364,10 @@ std::size_t FleetEngine::step() {
   // slots meanwhile); active_ is not mutated until the post-pass below.
   lock.unlock();
   roundStartNs_.store(nowNs(), std::memory_order_release);
-  if (config_.batchedExecution) {
-    runBatchedRound(n);
-  } else {
-    pool_->parallelFor(0, n, [this](std::size_t i) {
-      runOneEpoch(*active_[i]);
-      active_[i]->running.store(false, std::memory_order_release);
-    });
-  }
+  pool_->parallelFor(0, n, [this](std::size_t i) {
+    runOneEpoch(*active_[i]);
+    active_[i]->running.store(false, std::memory_order_release);
+  });
   roundStartNs_.store(0, std::memory_order_release);
   lock.lock();
 

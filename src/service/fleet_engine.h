@@ -230,18 +230,10 @@ class FleetEngine {
   /// Lazily constructs the slot's job (inside the caller's containment
   /// boundary; a poison scenario file throws the loader's diagnostic).
   void ensureJob(Slot& slot);
-  /// Runs \p fn under the containment ladder: any throw becomes the
-  /// slot's staged FAILED outcome. Returns false iff \p fn threw.
-  template <typename Fn>
-  bool contain(Slot& slot, Fn&& fn) noexcept;
-  /// The whole-epoch work unit shared by the per-scenario pool fan-out
-  /// and non-batchable jobs inside batched rounds.
-  void runEpochBody(Slot& slot);
+  /// One epoch of \p slot's job, the work unit of step()'s per-scenario
+  /// pool fan-out, behind the containment ladder: stages the outcome (a
+  /// throw becomes a staged FAILED reason) for the post-pass.
   void runOneEpoch(Slot& slot) noexcept;
-  /// One epoch round over active_[0..n) in cross-scenario batched mode:
-  /// frame-lockstep produce / coalesced processFrameBatch / consume
-  /// (DESIGN.md Sec. 14). Same staged outcomes as the fan-out path.
-  void runBatchedRound(std::size_t n);
   void retire(std::unique_ptr<Slot> slot);
   const Slot* findSlot(std::uint64_t id) const;
   Slot* findSlot(std::uint64_t id);

@@ -18,7 +18,7 @@ namespace {
 /// epoch. Owns every mutable piece (scenario, system, rng, runner), so
 /// instances are fully independent; the only shared state is the
 /// process-wide immutable twiddle/steering caches.
-class SpoofScenarioJob : public ScenarioJob, public BatchableJob {
+class SpoofScenarioJob : public ScenarioJob {
  public:
   SpoofScenarioJob(const std::string& scenarioText,
                    const std::string& sourceName, std::uint64_t seed,
@@ -62,39 +62,6 @@ class SpoofScenarioJob : public ScenarioJob, public BatchableJob {
     return m;
   }
 
-  BatchableJob* batchable() override { return this; }
-
-  // Split-phase epoch: the same loop as runEpoch with the frame split
-  // into its produce / process / consume halves. Charge order, RNG draws,
-  // and metric addend order are identical, so the two paths cannot drift.
-  void batchEpochBegin(EpochContext&) override {
-    batchMetrics_ = EpochMetrics{};
-    batchMetrics_.epoch = nextEpoch_++;
-    batchSample_ = core::SpoofEpochSample{};
-    batchFrame_ = 0;
-  }
-
-  bool batchProduce(EpochContext& ctx, radar::FrameWorkItem& item,
-                    bool& hasItem) override {
-    hasItem = false;
-    if (batchFrame_ >= epochFrames_ || runner_->done()) return false;
-    ++batchFrame_;
-    ctx.charge(1);
-    hasItem = runner_->produceFrame(batchSample_, item);
-    return true;
-  }
-
-  void batchConsume() override { runner_->consumeFrame(batchSample_); }
-
-  EpochMetrics batchEpochEnd() override {
-    batchMetrics_.framesSimulated = batchSample_.framesSimulated;
-    batchMetrics_.framesTotal = batchSample_.framesTotal;
-    batchMetrics_.framesDetected = batchSample_.framesDetected;
-    batchMetrics_.sumDistanceErrorM = batchSample_.sumDistanceErrorM;
-    batchMetrics_.sumAngleErrorDeg = batchSample_.sumAngleErrorDeg;
-    return batchMetrics_;
-  }
-
   ScenarioSummary summary() override {
     const core::SpoofRunResult result = runner_->finish();
     ScenarioSummary s;
@@ -122,24 +89,14 @@ class SpoofScenarioJob : public ScenarioJob, public BatchableJob {
   std::unique_ptr<core::RfProtectSystem> system_;
   std::unique_ptr<core::SpoofEpochRunner> runner_;
   std::uint64_t nextEpoch_ = 0;
-
-  // Split-phase epoch state (valid between batchEpochBegin/End).
-  EpochMetrics batchMetrics_{};
-  core::SpoofEpochSample batchSample_{};
-  std::size_t batchFrame_ = 0;
 };
 
 /// Chaos wrapper: misbehaves at scripted epochs instead of delegating.
-/// Batchable iff the wrapped job is; chaos fires in batchEpochBegin --
-/// the epoch's entry point in split-phase mode -- so scripted faults trip
-/// the same containment boundary on both execution paths.
-class FaultableJob : public ScenarioJob, public BatchableJob {
+class FaultableJob : public ScenarioJob {
  public:
   FaultableJob(std::unique_ptr<ScenarioJob> inner,
                fault::ScenarioFaultScript script)
-      : inner_(std::move(inner)),
-        innerBatch_(inner_->batchable()),
-        script_(std::move(script)) {}
+      : inner_(std::move(inner)), script_(std::move(script)) {}
 
   bool done() const override { return inner_->done(); }
 
@@ -149,26 +106,6 @@ class FaultableJob : public ScenarioJob, public BatchableJob {
   }
 
   ScenarioSummary summary() override { return inner_->summary(); }
-
-  BatchableJob* batchable() override {
-    return innerBatch_ != nullptr ? this : nullptr;
-  }
-
-  void batchEpochBegin(EpochContext& ctx) override {
-    misbehaveAt(nextEpoch_++, ctx);
-    innerBatch_->batchEpochBegin(ctx);
-  }
-
-  bool batchProduce(EpochContext& ctx, radar::FrameWorkItem& item,
-                    bool& hasItem) override {
-    return innerBatch_->batchProduce(ctx, item, hasItem);
-  }
-
-  void batchConsume() override { innerBatch_->batchConsume(); }
-
-  EpochMetrics batchEpochEnd() override {
-    return innerBatch_->batchEpochEnd();
-  }
 
  private:
   void misbehaveAt(std::uint64_t epoch, EpochContext& ctx) {
@@ -188,7 +125,6 @@ class FaultableJob : public ScenarioJob, public BatchableJob {
   }
 
   std::unique_ptr<ScenarioJob> inner_;
-  BatchableJob* innerBatch_ = nullptr;
   fault::ScenarioFaultScript script_;
   std::uint64_t nextEpoch_ = 0;
 };

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "fault/scenario_fault.h"
-#include "radar/batch.h"
 
 namespace rfp::service {
 
@@ -89,49 +88,6 @@ struct ScenarioSummary {
   double medianLocationErrorM = 0.0;
 };
 
-/// Split-phase epoch protocol for cross-scenario batched execution
-/// (DESIGN.md Sec. 14). One epoch is
-///
-///   batchEpochBegin(ctx);
-///   while (batchProduce(ctx, item, hasItem)) {
-///     if (hasItem) { <process item>; batchConsume(); }
-///   }
-///   metrics = batchEpochEnd();
-///
-/// where <process item> is either Processor::processInto (solo) or one
-/// slice of radar::processFrameBatch across many jobs. The phases run the
-/// exact statements of runEpoch in the same order (same work-budget
-/// charges, same RNG draws, same floating-point addend sequence), so an
-/// epoch driven through this protocol is bit-identical to runEpoch -- the
-/// engine's batched rounds change wall-clock only, never bits. Any phase
-/// may throw (chaos scripts fire in batchEpochBegin; the work budget
-/// trips in batchProduce); the engine contains it like a runEpoch throw.
-class BatchableJob {
- public:
-  virtual ~BatchableJob() = default;
-
-  /// Starts one epoch (fault scripts fire here, before any frame work).
-  virtual void batchEpochBegin(EpochContext& ctx) = 0;
-
-  /// Advances one frame of the current epoch: charges the budget and runs
-  /// the produce half (actuation, synthesis, background subtraction).
-  /// Returns false once the epoch's frame loop is over (epoch frame count
-  /// reached or scenario done) without consuming a frame. On true,
-  /// \p hasItem tells whether \p item holds a pending frame to process
-  /// (false while background subtraction primes or the frame was
-  /// fault-dropped -- skip processing and batchConsume for that frame).
-  virtual bool batchProduce(EpochContext& ctx, radar::FrameWorkItem& item,
-                            bool& hasItem) = 0;
-
-  /// Consume half of the last produced frame (detection, tracking,
-  /// metrics); call exactly once per batchProduce that set hasItem, after
-  /// the item's map has been processed.
-  virtual void batchConsume() = 0;
-
-  /// Ends the epoch and returns its accumulated metrics.
-  virtual EpochMetrics batchEpochEnd() = 0;
-};
-
 /// Interface of a schedulable scenario instance. runEpoch advances the
 /// scenario by one epoch under \p ctx's work budget; done() reports
 /// natural completion; summary() is valid once done. Implementations may
@@ -142,11 +98,6 @@ class ScenarioJob {
   virtual bool done() const = 0;
   virtual EpochMetrics runEpoch(EpochContext& ctx) = 0;
   virtual ScenarioSummary summary() = 0;
-
-  /// The job's split-phase interface, or nullptr when the job can only
-  /// run whole epochs (the engine then falls back to runEpoch inside its
-  /// batched rounds). The returned pointer aliases this job.
-  virtual BatchableJob* batchable() { return nullptr; }
 };
 
 /// Builds the real workload: a spoofing-experiment instance over the full

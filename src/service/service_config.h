@@ -84,15 +84,6 @@ struct FleetServiceConfig {
   /// and its (deterministic) admission id.
   std::uint64_t seed = 1;
 
-  /// Cross-scenario batched execution (DESIGN.md Sec. 14): each epoch
-  /// round interleaves the active shard frame by frame and coalesces all
-  /// scenarios' range-FFT + beamforming into two planned pool passes per
-  /// frame step, instead of running each scenario's epoch as one opaque
-  /// pool task. Bit-identical either way (the split-phase job protocol
-  /// runs the same statements per frame); off restores the per-scenario
-  /// pool fan-out.
-  bool batchedExecution = true;
-
   /// Per-scenario incremental scene caching: memoizes each scatterer's
   /// per-antenna beat-tone contribution across frames inside every
   /// scenario instance (radar::SceneCache). Bit-identical either way;

@@ -6,14 +6,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cache_budget.h"
 #include "common/constants.h"
+#include "common/env_count.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/vec2.h"
@@ -37,7 +43,53 @@ struct GlobalPoolGuard {
   ~GlobalPoolGuard() { ThreadPool::setGlobalThreads(0); }
 };
 
+/// RAII guard: restores environment variable \p name to its value at
+/// construction (or unsets it again), so a test run under a CI override
+/// such as RFP_THREADS=2 leaves the override in place.
+class EnvGuard {
+ public:
+  explicit EnvGuard(const char* name) : name_(name) {
+    if (const char* value = std::getenv(name)) saved_ = value;
+  }
+  ~EnvGuard() {
+    if (saved_.has_value()) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Text every positive-count environment knob must ignore: a sign must
+/// not wrap to a huge count, and zero, empty or trailing text is not a
+/// count.
+constexpr const char* kNotACount[] = {"not-a-number", "-1", "0", "",
+                                      "+2",           "3x", " 3", "-0"};
+
+TEST(EnvCount, AcceptsOnlyPositiveDecimalCounts) {
+  using rfp::common::parsePositiveCount;
+  for (const char* bad : kNotACount) {
+    EXPECT_FALSE(parsePositiveCount(bad).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parsePositiveCount(nullptr).has_value());
+  EXPECT_EQ(parsePositiveCount("1"), 1u);
+  EXPECT_EQ(parsePositiveCount("007"), 7u);
+  EXPECT_EQ(parsePositiveCount("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parsePositiveCount("18446744073709551616"),
+            std::numeric_limits<std::uint64_t>::max());  // saturates
+  EXPECT_EQ(parsePositiveCount("99999999999999999999999"),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
 TEST(ThreadPool, RfpThreadsEnvOverridesAndFallsBackToOne) {
+  const EnvGuard guard("RFP_THREADS");
+  ::unsetenv("RFP_THREADS");
+  const std::size_t unsetCount = ThreadPool::resolveThreadCount();
   ::setenv("RFP_THREADS", "1", 1);
   {
     ThreadPool pool;  // default-constructed -> resolves from env
@@ -51,9 +103,14 @@ TEST(ThreadPool, RfpThreadsEnvOverridesAndFallsBackToOne) {
   }
   ::setenv("RFP_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::resolveThreadCount(), 3u);
-  ::setenv("RFP_THREADS", "not-a-number", 1);
-  EXPECT_GE(ThreadPool::resolveThreadCount(), 1u);  // ignored, hw fallback
-  ::unsetenv("RFP_THREADS");
+  ::setenv("RFP_THREADS", "100000", 1);
+  EXPECT_EQ(ThreadPool::resolveThreadCount(), 256u);
+  // Ignored values resolve exactly as if the variable were unset.
+  for (const char* bad : kNotACount) {
+    ::setenv("RFP_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::resolveThreadCount(), unsetCount)
+        << '"' << bad << '"';
+  }
 }
 
 TEST(ThreadPool, ShutdownRunsPendingJobs) {
@@ -274,6 +331,23 @@ TEST(Caches, TwiddleTablesAreSharedPerSizeAndDistinctAcrossSizes) {
   const auto spec = signal::fft(impulse);
   for (std::size_t k = 0; k < spec.size(); ++k) {
     EXPECT_NEAR(std::abs(spec[k]), 1.0, 1e-12);
+  }
+}
+
+TEST(Caches, RfpCacheMbEnvParsesOnlyPositiveCounts) {
+  using rfp::common::detail::resolveCacheBudgetBytes;
+  constexpr std::size_t kMiB = std::size_t{1024} * 1024;
+  const EnvGuard guard("RFP_CACHE_MB");
+  ::unsetenv("RFP_CACHE_MB");
+  const std::size_t unsetBytes = resolveCacheBudgetBytes();
+  EXPECT_EQ(unsetBytes, 64 * kMiB);
+  ::setenv("RFP_CACHE_MB", "16", 1);
+  EXPECT_EQ(resolveCacheBudgetBytes(), 16 * kMiB);
+  ::setenv("RFP_CACHE_MB", "100000", 1);
+  EXPECT_EQ(resolveCacheBudgetBytes(), 65536 * kMiB);  // clamped
+  for (const char* bad : kNotACount) {
+    ::setenv("RFP_CACHE_MB", bad, 1);
+    EXPECT_EQ(resolveCacheBudgetBytes(), unsetBytes) << '"' << bad << '"';
   }
 }
 

@@ -29,7 +29,6 @@
 #include "env/scatterer.h"
 #include "fault/fault_schedule.h"
 #include "fault/storage_fault.h"
-#include "radar/batch.h"
 #include "radar/processor.h"
 #include "service/fleet_engine.h"
 #include "trajectory/human_walk.h"
@@ -146,10 +145,9 @@ radar.antennas = 3
 panel.count = 4
 )";
 
-/// One spoofing scenario driven frame by frame through the split-phase
-/// epoch runner, appending every produced difference frame and processed
-/// power map to a byte string -- the memcmp surface of the identity
-/// tests.
+/// One spoofing scenario driven frame by frame through the epoch runner,
+/// appending every difference frame and processed power map to a byte
+/// string -- the memcmp surface of the identity tests.
 class EpochRun {
  public:
   EpochRun(bool sceneCache, const fault::FaultSchedule* schedule = nullptr)
@@ -170,18 +168,17 @@ class EpochRun {
 
   bool done() const { return runner_->done(); }
 
-  /// Advances one frame; returns true when a frame was produced (and its
-  /// bytes appended) -- false for dropped/priming frames.
+  /// Advances one frame; returns true when it produced a map (and its
+  /// bytes were appended) -- false for dropped/priming frames.
   bool step(std::vector<std::uint8_t>& bytes) {
-    radar::FrameWorkItem item;
-    if (!runner_->produceFrame(epoch_, item)) return false;
-    for (const auto& row : item.frame->samples) {
+    runner_->runFrames(1);
+    const radar::Frame* diff = runner_->lastDiff();
+    if (diff == nullptr) return false;
+    for (const auto& row : diff->samples) {
       append(bytes, row.data(), row.size() * sizeof(radar::Complex));
     }
-    item.processor->processInto(*item.frame, *item.out, scratch_);
-    append(bytes, item.out->power.data(),
-           item.out->power.size() * sizeof(double));
-    runner_->consumeFrame(epoch_);
+    const radar::RangeAngleMap& map = runner_->lastMap();
+    append(bytes, map.power.data(), map.power.size() * sizeof(double));
     return true;
   }
 
@@ -212,8 +209,6 @@ class EpochRun {
   trajectory::Trace trace_;
   std::unique_ptr<core::RfProtectSystem> system_;
   std::unique_ptr<core::SpoofEpochRunner> runner_;
-  core::SpoofEpochSample epoch_;
-  radar::ProcessorScratch scratch_;
 };
 
 TEST(SceneCachePipeline, CachedRunBitIdenticalToUncachedWithRealReuse) {

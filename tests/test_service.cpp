@@ -1,5 +1,6 @@
 #include "service/fleet_engine.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -9,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/det_hash.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/harness.h"
 #include "core/scenario_config.h"
 #include "service/protocol.h"
@@ -219,6 +222,87 @@ TEST(FleetService, HealthyScenarioMetricsBitIdenticalUnderChaos) {
       EXPECT_EQ(quietMetrics[i].sumAngleErrorDeg,
                 chaosMetrics[i].sumAngleErrorDeg);
     }
+  }
+}
+
+/// Raw field bytes of a metric stream, in stream order: the byte-level
+/// comparison surface of the pool-size identity test.
+std::string streamBytes(const std::vector<EpochMetrics>& stream) {
+  std::string out;
+  const auto append = [&out](const auto& field) {
+    out.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  };
+  for (const EpochMetrics& m : stream) {
+    append(m.epoch);
+    append(m.framesSimulated);
+    append(m.framesTotal);
+    append(m.framesDetected);
+    append(m.sumDistanceErrorM);
+    append(m.sumAngleErrorDeg);
+  }
+  return out;
+}
+
+TEST(FleetService, OutputIdenticalAtTwoPoolSizesAndToSerialJobs) {
+  // Three healthy homes, a poison job and a stuck chaos job; five
+  // submissions against four active slots, so one waits in the queue.
+  std::vector<ScenarioSubmission> submissions = {
+      cheapSubmission("home-a", 0, 101), cheapSubmission("home-b", 0, 202),
+      cheapSubmission("home-c", 0, 303)};
+  constexpr std::size_t kHealthy = 3;
+  submissions.push_back(cheapSubmission("poison", 0, 404));
+  submissions.back().chaos.addEvent(
+      {1, fault::ScenarioFaultKind::kPoisonEpoch});
+  submissions.push_back(cheapSubmission("stuck", 0, 505));
+  submissions.back().chaos.addEvent(
+      {0, fault::ScenarioFaultKind::kStuckEpoch});
+
+  struct Output {
+    std::vector<std::uint64_t> ids;
+    std::string ledger;
+    std::vector<std::string> streams;
+  };
+  const auto run = [&submissions](std::size_t workers) {
+    rfp::common::ThreadPool pool(workers);
+    FleetEngine engine(testConfig(), &pool);
+    Output out;
+    for (const ScenarioSubmission& s : submissions) {
+      out.ids.push_back(engine.submit(s).scenarioId);
+    }
+    engine.runUntilIdle(/*maxRounds=*/64);
+    EXPECT_TRUE(engine.idle());
+    out.ledger = engine.ledger().serialize();
+    for (const std::uint64_t id : out.ids) {
+      out.streams.push_back(streamBytes(engine.drainMetrics(id)));
+    }
+    return out;
+  };
+  const Output one = run(1);
+  const Output four = run(4);
+  ASSERT_EQ(one.ids, four.ids);
+  EXPECT_NE(one.ledger.find("state=failed"), std::string::npos) << one.ledger;
+  EXPECT_EQ(one.ledger, four.ledger);
+  for (std::size_t i = 0; i < submissions.size(); ++i) {
+    EXPECT_EQ(one.streams[i], four.streams[i]) << submissions[i].name;
+  }
+
+  // Each healthy stream is the job's own serial epoch loop, seeded the
+  // way the engine derives job seeds (stream 41 of the engine seed and
+  // the admission id, xor the submission seed).
+  const FleetServiceConfig config = testConfig();
+  for (std::size_t i = 0; i < kHealthy; ++i) {
+    const std::uint64_t jobSeed =
+        rfp::common::hashBits(config.seed, one.ids[i], 41) ^
+        submissions[i].seed;
+    const auto job = makeSpoofScenarioJob(kCheapScenario, submissions[i].name,
+                                          jobSeed, config.epochFrames);
+    std::vector<EpochMetrics> serial;
+    while (!job->done()) {
+      EpochContext ctx(config.epochWorkBudget);
+      serial.push_back(job->runEpoch(ctx));
+    }
+    ASSERT_GT(serial.size(), 1u);
+    EXPECT_EQ(streamBytes(serial), one.streams[i]) << submissions[i].name;
   }
 }
 
