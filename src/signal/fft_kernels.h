@@ -44,12 +44,15 @@ void stagePassFmaRef(Complex* a, std::size_t n, std::size_t len,
                      const Complex* stage, bool forward);
 
 #if defined(RFP_X86_KERNELS)
-/// Two butterflies per 256-bit vector (fft_kernels_avx2.cpp).
+/// Two butterflies per 256-bit vector (fft_kernels_avx2.cpp); the len 2
+/// stage gathers its neighbour pairs with 128-bit lane permutes.
 void stagePassAvx2(Complex* a, std::size_t n, std::size_t len,
                    const Complex* stage, bool forward);
 
-/// Four butterflies per 512-bit vector (fft_kernels_avx512.cpp);
-/// bit-identical to stagePassAvx2 by construction.
+/// Four butterflies per 512-bit vector (fft_kernels_avx512.cpp); the
+/// len 2 and len 4 stages gather their operands with two-source
+/// permutes, and n < 8 runs stagePassAvx2. Bit-identical to
+/// stagePassAvx2 by construction.
 void stagePassAvx512(Complex* a, std::size_t n, std::size_t len,
                      const Complex* stage, bool forward);
 #endif

@@ -315,15 +315,22 @@ TEST(ParallelDeterminism, EnvSnapshotBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Caches, TwiddleTablesAreSharedPerSizeAndDistinctAcrossSizes) {
-  const auto a = signal::twiddlesFor(64);
-  const auto b = signal::twiddlesFor(64);
-  const auto c = signal::twiddlesFor(128);
-  EXPECT_EQ(a.get(), b.get());  // cache hit: one immutable table per size
+  const auto a = signal::fftPlanFor(64);
+  const auto b = signal::fftPlanFor(64);
+  const auto c = signal::fftPlanFor(128);
+  EXPECT_EQ(a.get(), b.get());  // cache hit: one immutable plan per size
   EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(a->size(), 63u);
-  EXPECT_EQ(c->size(), 127u);
-  EXPECT_THROW(signal::twiddlesFor(48), std::invalid_argument);
-  EXPECT_THROW(signal::twiddlesFor(1), std::invalid_argument);
+  EXPECT_EQ(a->twiddles.size(), 63u);
+  EXPECT_EQ(c->twiddles.size(), 127u);
+  EXPECT_THROW(signal::fftPlanFor(48), std::invalid_argument);
+  EXPECT_THROW(signal::fftPlanFor(1), std::invalid_argument);
+
+  // The bit-reversal table reverses log2(n) bits.
+  ASSERT_EQ(a->bitReverse.size(), 64u);
+  EXPECT_EQ(a->bitReverse[0], 0u);
+  EXPECT_EQ(a->bitReverse[1], 32u);
+  EXPECT_EQ(a->bitReverse[6], 24u);
+  EXPECT_EQ(a->bitReverse[63], 63u);
 
   // A cached transform still matches the analytic DFT of an impulse.
   std::vector<signal::Complex> impulse(64, signal::Complex{});
