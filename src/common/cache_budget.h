@@ -2,7 +2,7 @@
 
 /// \file cache_budget.h
 /// Process-wide byte budget for the immutable derived-data caches (the
-/// steering-matrix cache in src/radar and the FFT twiddle cache in
+/// steering-matrix cache in src/radar and the FFT plan cache in
 /// src/signal). A 1000-home fleet with heterogeneous radar configs would
 /// otherwise grow those caches without bound -- one entry per distinct
 /// (angles, antennas, spacing, wavelength) tuple or FFT size for the
