@@ -46,7 +46,10 @@
 #include "core/scenario.h"
 #include "core/scenario_config.h"
 #include "fault/scenario_fault.h"
+#include "env/environment.h"
+#include "radar/frontend.h"
 #include "radar/processor.h"
+#include "radar/tone_memo.h"
 #include "service/fleet_engine.h"
 #include "trajectory/human_walk.h"
 
@@ -135,15 +138,18 @@ ScaleResult runScale(std::size_t scenarios) {
 }
 
 // ---------------------------------------------------------------------------
-// Cold-vs-warm cache identity gate
+// Tone-memo identity gate
 // ---------------------------------------------------------------------------
 
-/// Serialized pipeline output of one full fleet-home scenario run: the raw
-/// I/Q bytes of every background-subtracted frame plus every processed
-/// range-angle power map, in frame order. This is the memcmp surface of
-/// the identity gate -- if one bit anywhere in the sensing path differs
-/// between the cached and cache-disabled runs, the byte strings differ.
-std::vector<std::uint8_t> runScenarioBytes(bool sceneCache) {
+/// The scatterer lists of one fleet home's frames, built in the fleet
+/// job's RNG order (reflector injection, then the scene snapshot).
+struct HomeScenes {
+  radar::RadarConfig radar;
+  std::vector<std::vector<env::PointScatterer>> scenes;
+  std::vector<double> times;
+};
+
+HomeScenes recordHomeScenes() {
   std::istringstream in(kFleetScenario);
   core::Scenario scenario = core::loadScenario(in, "identity-gate");
   rfp::common::Rng rng(1001);
@@ -154,35 +160,54 @@ std::vector<std::uint8_t> runScenarioBytes(bool sceneCache) {
   } while (trajectory::motionRange(trace) > 3.5);
   core::RfProtectSystem system(scenario.makeController());
   const double dt = 1.0 / scenario.sensing.radar.frameRateHz;
-  const double start = 2.0 * dt;
-  const int ghostId = system.addGhostAuto(trace, start, scenario.plan, rng);
-  core::SpoofEpochRunner runner(scenario, system, ghostId, start, rng,
-                                /*schedule=*/nullptr, sceneCache);
+  system.addGhostAuto(trace, 2.0 * dt, scenario.plan, rng);
+  env::Environment environment(scenario.plan);
 
+  HomeScenes out;
+  out.radar = scenario.sensing.radar;
+  const double duration = 2.0 * dt + rfp::common::kTraceDurationS + 2.0 * dt;
+  for (double t = 0.0; t <= duration; t += dt) {
+    const auto injected = system.injectAt(t);
+    out.scenes.emplace_back();
+    core::combineScatterersInto(out.scenes.back(), environment, t, rng,
+                                scenario.snapshot, injected);
+    out.times.push_back(t);
+  }
+  return out;
+}
+
+/// The memcmp surface of the gate: every frame's raw I/Q bytes and its
+/// range-angle power map, synthesized with a tone memo (\p memo) or
+/// without one. If one bit anywhere differs, the byte strings differ.
+std::vector<std::uint8_t> runSceneBytes(const HomeScenes& home, bool memo,
+                                        std::uint64_t* hits) {
+  const radar::Frontend frontend(home.radar);
+  const radar::Processor processor(home.radar);
+  radar::ToneMemo toneMemo;
+  radar::Frame frame;
   std::vector<std::uint8_t> bytes;
   const auto append = [&bytes](const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     bytes.insert(bytes.end(), b, b + n);
   };
-  while (!runner.done()) {
-    runner.runFrames(1);
-    const radar::Frame* diff = runner.lastDiff();
-    if (diff == nullptr) continue;
-    for (const auto& row : diff->samples) {
+  for (std::size_t f = 0; f < home.scenes.size(); ++f) {
+    frontend.synthesizeInto(frame, home.scenes[f], home.times[f], 1001, f,
+                            memo ? &toneMemo : nullptr);
+    for (const auto& row : frame.samples) {
       append(row.data(), row.size() * sizeof(radar::Complex));
     }
-    const radar::RangeAngleMap& map = runner.lastMap();
+    const radar::RangeAngleMap map = processor.process(frame);
     append(map.power.data(), map.power.size() * sizeof(double));
   }
+  if (hits != nullptr) *hits = toneMemo.stats().hits;
   return bytes;
 }
 
 /// Engine-level identity surface: the service ledger bytes plus every
 /// scenario's retained metric stream, raw field bytes appended in id
 /// order.
-std::string runEngineBytes(bool sceneCache) {
+std::string runEngineBytes() {
   service::FleetServiceConfig config = scaleConfig(16);
-  config.sceneCache = sceneCache;
   service::FleetEngine engine(config);
   std::vector<std::uint64_t> ids;
   for (std::size_t i = 0; i < 16; ++i) {
@@ -208,12 +233,13 @@ std::string runEngineBytes(bool sceneCache) {
   return out;
 }
 
-/// Sweeps thread count x kernel level and requires the cached pipeline
-/// output to be memcmp-equal to the cache-disabled run in every cell,
-/// then repeats the comparison at the engine level (ledger + metric
-/// streams with FleetServiceConfig::sceneCache off vs on). Restores the
-/// pool size and kernel level it found. Returns true iff every cell held.
-bool runCacheIdentityGate() {
+/// Sweeps thread count x kernel level and requires the frames and maps
+/// synthesized with a tone memo to be memcmp-equal to the memo-less ones
+/// in every cell, with real memo hits; then requires an engine wave
+/// (ledger + metric streams, every job with its memo) to be
+/// byte-identical on one thread and on four. Restores the pool size and
+/// kernel level it found. Returns true iff every cell held.
+bool runMemoIdentityGate() {
   namespace simd = rfp::common::simd;
   const simd::KernelLevel entryLevel = simd::activeKernelLevel();
   std::vector<simd::KernelLevel> levels{simd::KernelLevel::kSse2};
@@ -221,32 +247,41 @@ bool runCacheIdentityGate() {
       simd::maxSupportedLevel(simd::cpuFeatures());
   if (best != simd::KernelLevel::kSse2) levels.push_back(best);
 
+  const HomeScenes home = recordHomeScenes();
   bool allOk = true;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     rfp::common::ThreadPool::setGlobalThreads(threads);
     for (const simd::KernelLevel level : levels) {
       simd::setActiveKernelLevel(level);
-      const std::vector<std::uint8_t> warm = runScenarioBytes(true);
-      const std::vector<std::uint8_t> cold = runScenarioBytes(false);
+      std::uint64_t hits = 0;
+      const std::vector<std::uint8_t> memo = runSceneBytes(home, true, &hits);
+      const std::vector<std::uint8_t> memoLess =
+          runSceneBytes(home, false, nullptr);
       const bool ok =
-          !warm.empty() && warm.size() == cold.size() &&
-          std::memcmp(warm.data(), cold.data(), warm.size()) == 0;
+          hits > 0 && !memo.empty() && memo.size() == memoLess.size() &&
+          std::memcmp(memo.data(), memoLess.data(), memo.size()) == 0;
       std::printf(
-          "  identity threads=%zu kernel=%-8s  %zu bytes  %s\n", threads,
-          simd::kernelLevelName(level), warm.size(),
+          "  identity threads=%zu kernel=%-8s  %zu bytes  %llu memo hits  "
+          "%s\n",
+          threads, simd::kernelLevelName(level), memo.size(),
+          static_cast<unsigned long long>(hits),
           ok ? "bit-identical" : "DIVERGED");
       allOk = allOk && ok;
     }
   }
-  rfp::common::ThreadPool::setGlobalThreads(0);  // back to RFP_THREADS / hw
   simd::setActiveKernelLevel(entryLevel);
 
-  const std::string warmEngine = runEngineBytes(true);
-  const std::string coldEngine = runEngineBytes(false);
-  const bool engineOk = !warmEngine.empty() && warmEngine == coldEngine;
-  std::printf("  identity engine wave (ledger + metric streams)  %s\n",
-              engineOk ? "bit-identical" : "DIVERGED");
+  rfp::common::ThreadPool::setGlobalThreads(1);
+  const std::string oneThread = runEngineBytes();
+  rfp::common::ThreadPool::setGlobalThreads(4);
+  const std::string fourThreads = runEngineBytes();
+  rfp::common::ThreadPool::setGlobalThreads(0);  // back to RFP_THREADS / hw
+  const bool engineOk = !oneThread.empty() && oneThread == fourThreads;
+  std::printf(
+      "  identity engine wave, 1 vs 4 threads (ledger + metric streams)  "
+      "%s\n",
+      engineOk ? "bit-identical" : "DIVERGED");
   return allOk && engineOk;
 }
 
@@ -344,7 +379,7 @@ bool metricsBitIdentical(const ChaosResult& a, const ChaosResult& b) {
 
 void writeJson(const std::vector<ScaleResult>& scales,
                const ChaosResult& chaos, bool smoke, bool healthyIdentical,
-               bool ledgerDeterministic, bool cacheIdentity) {
+               bool ledgerDeterministic, bool memoIdentity) {
   bench::JsonWriter json;
   json.beginObject()
       .field("scenario", "fleet-home")
@@ -355,7 +390,7 @@ void writeJson(const std::vector<ScaleResult>& scales,
   bench::stampKernelProvenance(json)
       .field("healthy_metrics_bit_identical", healthyIdentical)
       .field("service_ledger_deterministic", ledgerDeterministic)
-      .field("cold_warm_bit_identical", cacheIdentity)
+      .field("memo_bit_identical", memoIdentity)
       .beginArray("scales");
   for (const ScaleResult& s : scales) {
     json.beginObject()
@@ -409,8 +444,8 @@ int runSweep(bool smoke) {
         s.counters.shed);
   }
 
-  std::printf("  running cold-vs-warm cache identity gate ...\n");
-  const bool cacheIdentity = runCacheIdentityGate();
+  std::printf("  running tone-memo identity gate ...\n");
+  const bool memoIdentity = runMemoIdentityGate();
 
   std::printf("  running chaos case (x2 for ledger determinism) ...\n");
   const ChaosResult quiet = runChaosCase(/*withChaos=*/false);
@@ -426,7 +461,7 @@ int runSweep(bool smoke) {
       chaos.counters.rejected, chaos.tierRecords);
 
   writeJson(scales, chaos, smoke, healthyIdentical, ledgerDeterministic,
-            cacheIdentity);
+            memoIdentity);
   std::printf("\n  wrote %s\n", kOutputPath);
 
   // Acceptance shape checks (mirrors ISSUE/EXPERIMENTS.md):
@@ -456,9 +491,9 @@ int runSweep(bool smoke) {
         "same-seed run");
   check(ledgerDeterministic,
         "service ledger byte-identical across two same-seed chaos runs");
-  check(cacheIdentity,
-        "warm-cache output memcmp-equal to cache-disabled at 1/2/4 "
-        "threads, sse2 + best kernel, and engine level");
+  check(memoIdentity,
+        "tone-memo frames and maps memcmp-equal to memo-less at 1/2/4 "
+        "threads, sse2 + best kernel; engine wave equal at 1 and 4 threads");
   return status;
 }
 
@@ -481,12 +516,12 @@ BENCHMARK(BM_FleetEpochRound)->Unit(benchmark::kMillisecond)->Iterations(20);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --identity runs only the cold-vs-warm bit-identity gate (the fast
+  // --identity runs only the tone-memo bit-identity gate (the fast
   // CI-matrix entry point); --smoke runs the full sweep minus the
   // google-benchmark timing loop.
   if (argc > 1 && std::strcmp(argv[1], "--identity") == 0) {
-    bench::printHeader("Fleet scene-cache cold-vs-warm identity gate");
-    const bool ok = runCacheIdentityGate();
+    bench::printHeader("Fleet tone-memo identity gate");
+    const bool ok = runMemoIdentityGate();
     std::printf("  identity gate: %s\n", ok ? "holds" : "VIOLATED");
     return ok ? 0 : 1;
   }

@@ -12,6 +12,9 @@
 ///     antennas, four rows per call as Processor runs them),
 ///   - counter-based AWGN samples/s on one paper-radar frame (7 antennas
 ///     x 500 samples, the noise kernel family),
+///   - tone rows/s of the chains kernel at paper size (19 chains x 500
+///     samples x 7 antennas) and toy size (13 chains x 8 samples x 3
+///     antennas), chain starts included,
 ///   - end-to-end radar frames/s (Frontend::synthesize + Processor::process,
 ///     i.e. the tone-synthesis and Eq. 2 beamforming kernels together),
 ///   - peak-detection maps/s on one paper-radar range-angle map
@@ -23,7 +26,9 @@
 /// to copy + applyWindow + zero fill + bit reversal + the level's
 /// reference stage passes, the beamforming map memcmp-equal to
 /// beamformRowsScalar / beamformRowsFmaRef, the noise frame memcmp-equal
-/// to awgnAccumScalar / awgnAccumFmaRef, the detection map's noise floor
+/// to awgnAccumScalar / awgnAccumFmaRef, the tone rows memcmp-equal to
+/// the level's single-chain loop run chain after chain, the detection
+/// map's noise floor
 /// and candidate list memcmp-equal to the sse2 run's) so the sweep doubles
 /// as
 /// a cheap determinism gate. Emits `BENCH_kernels.json` with the detected
@@ -82,6 +87,8 @@ struct LevelRow {
   double rangeFftsPerSec = 0.0;    ///< windowed 500 -> 1024, 1 thread
   double beamformMapsPerSec = 0.0;  ///< 227 x 181 x 7, 1 thread
   double awgnSamplesPerSec = 0.0;  ///< 7 x 500 frame, 1 thread
+  double toneRowsPaperPerSec = 0.0;  ///< 19 chains x 500 samples, 1 thread
+  double toneRowsToyPerSec = 0.0;    ///< 13 chains x 8 samples, 1 thread
   double radarFramesPerSec = 0.0;
   double detectMapsPerSec = 0.0;  ///< one 227 x 181 map, 1 thread
   double ganStepsPerSec = 0.0;
@@ -89,6 +96,7 @@ struct LevelRow {
   bool rangeFftBitExact = false;  ///< memcmp vs the reference chain
   bool beamformBitExact = false;  ///< memcmp vs the level's rows reference
   bool awgnBitExact = false;  ///< memcmp vs the level's noise reference
+  bool toneBitExact = false;  ///< memcmp vs the single-chain loop
   bool detectBitExact = false;  ///< floor + candidates memcmp vs sse2
 };
 
@@ -265,6 +273,67 @@ double beamformThroughput(bool smoke, bool* bitExact) {
   *bitExact =
       std::memcmp(map.data(), ref.data(), map.size() * sizeof(double)) == 0;
   return static_cast<double>(reps) / seconds;
+}
+
+/// Tone rows/s of the active level's chains kernel: \p antennas rows of
+/// \p samples samples, each taking \p chains tone chains in one call as
+/// Frontend::synthesizeInto makes it. The chain starts (two std::polar
+/// calls and toneChain per chain) are computed inside the timed loop, as
+/// on a memo miss. The frame is memcmp-checked against the level's
+/// single-chain loop run chain after chain.
+double toneRowsThroughput(std::size_t chains, std::size_t samples,
+                          std::size_t antennas, std::size_t reps,
+                          bool* bitExact) {
+  const KernelLevel level = common::simd::activeKernelLevel();
+  const radar::detail::ToneAccumChainsFn fn =
+      radar::detail::toneAccumChainsForLevel(level);
+  common::Rng rng(501);
+  std::vector<double> amp(chains), phase(chains), beat(chains);
+  for (std::size_t c = 0; c < chains; ++c) {
+    amp[c] = rng.uniform(0.01, 1.0);
+    phase[c] = rng.uniform(-3.0, 3.0);
+    beat[c] = rng.uniform(-0.5, 0.5);
+  }
+  std::vector<radar::detail::ToneChain> starts(antennas * chains);
+  std::vector<std::complex<double>> frame(antennas * samples);
+  const auto runFrame = [&](radar::detail::ToneAccumChainsFn kernel) {
+    std::fill(frame.begin(), frame.end(), std::complex<double>{});
+    for (std::size_t k = 0; k < antennas; ++k) {
+      for (std::size_t c = 0; c < chains; ++c) {
+        const double shift = 0.01 * static_cast<double>(k);
+        starts[k * chains + c] = radar::detail::toneChain(
+            level, std::polar(amp[c], phase[c] + shift),
+            std::polar(1.0, beat[c] + shift));
+      }
+    }
+    for (std::size_t k = 0; k < antennas; ++k) {
+      kernel(frame.data() + k * samples, samples,
+             starts.data() + k * chains, chains);
+    }
+  };
+  runFrame(fn);  // warm-up
+  bench::WallTimer timer;
+  for (std::size_t r = 0; r < reps; ++r) {
+    runFrame(fn);
+    benchmark::DoNotOptimize(frame.data());
+  }
+  const double seconds = timer.elapsedS();
+
+  const std::vector<std::complex<double>> out = frame;
+  const radar::detail::ToneAccumChainsFn single =
+      level == KernelLevel::kSse2 ? &radar::detail::toneAccumChainsScalar
+                                  : &radar::detail::toneAccumChainsFmaRef;
+  runFrame([](std::complex<double>*, std::size_t,
+              const radar::detail::ToneChain*, std::size_t) {});
+  for (std::size_t k = 0; k < antennas; ++k) {
+    for (std::size_t c = 0; c < chains; ++c) {
+      single(frame.data() + k * samples, samples,
+             starts.data() + k * chains + c, 1);
+    }
+  }
+  *bitExact = std::memcmp(out.data(), frame.data(),
+                          frame.size() * sizeof(frame[0])) == 0;
+  return static_cast<double>(reps * antennas) / seconds;
 }
 
 /// Noise kernel of the active level on one paper-radar frame: 7 antenna
@@ -462,6 +531,13 @@ int runKernelSweep(bool smoke) {
     allExact = allExact && row.beamformBitExact;
     row.awgnSamplesPerSec = awgnThroughput(smoke, &row.awgnBitExact);
     allExact = allExact && row.awgnBitExact;
+    bool paperToneExact = false, toyToneExact = false;
+    row.toneRowsPaperPerSec = toneRowsThroughput(
+        19, kPaperSamples, kPaperAntennas, smoke ? 20 : 2000, &paperToneExact);
+    row.toneRowsToyPerSec =
+        toneRowsThroughput(13, 8, 3, smoke ? 200 : 20000, &toyToneExact);
+    row.toneBitExact = paperToneExact && toyToneExact;
+    allExact = allExact && row.toneBitExact;
     DetectionOutput detection;
     row.detectMapsPerSec =
         detectionThroughput(detectMap, detectProcessor, smoke, &detection);
@@ -475,17 +551,20 @@ int runKernelSweep(bool smoke) {
 
     std::printf(
         "  %-8s : gemm %7.2f / %7.2f GFLOP/s  fft %8.0f /s  range fft %8.0f "
-        "/s  beamform %6.0f maps/s  awgn %6.1f Msamples/s  radar %6.1f "
-        "frames/s  detect %7.0f maps/s  gan %5.2f steps/s  gemm %s  "
-        "range fft %s  beamform %s  awgn %s  detect %s (%zu candidates)\n",
+        "/s  beamform %6.0f maps/s  awgn %6.1f Msamples/s  tone rows "
+        "%7.0f (paper) %8.0f (toy) /s  radar %6.1f frames/s  detect %7.0f "
+        "maps/s  gan %5.2f steps/s  gemm %s  range fft %s  beamform %s  "
+        "awgn %s  tone %s  detect %s (%zu candidates)\n",
         common::simd::kernelLevelName(level), row.gemmGflopsCube,
         row.gemmGflopsGan, row.fftTransformsPerSec, row.rangeFftsPerSec,
         row.beamformMapsPerSec, row.awgnSamplesPerSec / 1.0e6,
+        row.toneRowsPaperPerSec, row.toneRowsToyPerSec,
         row.radarFramesPerSec, row.detectMapsPerSec, row.ganStepsPerSec,
         row.gemmBitExact ? "bit-exact" : "MISMATCH",
         row.rangeFftBitExact ? "bit-exact" : "MISMATCH",
         row.beamformBitExact ? "bit-exact" : "MISMATCH",
         row.awgnBitExact ? "bit-exact" : "MISMATCH",
+        row.toneBitExact ? "bit-exact" : "MISMATCH",
         row.detectBitExact ? "matches sse2" : "MISMATCH",
         detection.candidates.size());
   }
@@ -508,6 +587,8 @@ int runKernelSweep(bool smoke) {
         .field("range_ffts_per_sec", row.rangeFftsPerSec)
         .field("beamform_maps_per_sec", row.beamformMapsPerSec)
         .field("awgn_samples_per_sec", row.awgnSamplesPerSec)
+        .field("tone_rows_paper_per_sec", row.toneRowsPaperPerSec)
+        .field("tone_rows_toy_per_sec", row.toneRowsToyPerSec)
         .field("radar_frames_per_sec", row.radarFramesPerSec)
         .field("detect_maps_per_sec", row.detectMapsPerSec)
         .field("gan_steps_per_sec", row.ganStepsPerSec)
@@ -515,6 +596,7 @@ int runKernelSweep(bool smoke) {
         .field("range_fft_bit_exact", row.rangeFftBitExact)
         .field("beamform_bit_exact", row.beamformBitExact)
         .field("awgn_bit_exact", row.awgnBitExact)
+        .field("tone_bit_exact", row.toneBitExact)
         .field("detect_matches_sse2", row.detectBitExact)
         .endObject();
   }

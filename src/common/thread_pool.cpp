@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,7 +26,7 @@ thread_local bool tlsInsideWorker = false;
 struct ThreadPool::Impl {
   std::mutex mutex;
   std::condition_variable cv;
-  std::deque<std::packaged_task<void()>> queue;
+  std::deque<std::function<void()>> queue;
   bool stopping = false;
 };
 
@@ -65,7 +66,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::runWorker() {
   tlsInsideWorker = true;
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(impl_->mutex);
       impl_->cv.wait(lock, [this] {
@@ -82,15 +83,15 @@ void ThreadPool::runWorker() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> job) {
-  std::packaged_task<void()> task(std::move(job));
-  std::future<void> future = task.get_future();
+  auto task = std::make_shared<std::packaged_task<void()>>(std::move(job));
+  std::future<void> future = task->get_future();
   if (workers_.empty()) {
-    task();  // single-worker pool: run inline
+    (*task)();  // single-worker pool: run inline
     return future;
   }
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->queue.push_back(std::move(task));
+    impl_->queue.push_back([task] { (*task)(); });
   }
   impl_->cv.notify_one();
   return future;
@@ -105,27 +106,45 @@ void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     return;
   }
 
+  // Each chunk catches into its own slot and counts down a latch this
+  // call owns, so no exception crosses a future: the caller learns that a
+  // chunk ended, and reads its slot, through the latch's mutex, which
+  // ThreadSanitizer sees (a future's wait runs in uninstrumented code).
   const std::size_t chunks = std::min(size_, range);
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + range * c / chunks;
-    const std::size_t hi = begin + range * (c + 1) / chunks;
-    futures.push_back(submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
+  std::vector<std::exception_ptr> slots(chunks);
+  std::mutex latchMutex;
+  std::condition_variable latchDone;
+  std::size_t pending = chunks;
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t lo = begin + range * c / chunks;
+      const std::size_t hi = begin + range * (c + 1) / chunks;
+      impl_->queue.push_back([&, lo, hi, c] {
+        try {
+          for (std::size_t i = lo; i < hi; ++i) body(i);
+        } catch (...) {
+          slots[c] = std::current_exception();
+        }
+        // Notify under the lock: the caller may return, destroying the
+        // latch, as soon as it sees pending reach zero.
+        std::lock_guard<std::mutex> latchLock(latchMutex);
+        if (--pending == 0) latchDone.notify_one();
+      });
+    }
   }
+  impl_->cv.notify_all();
 
   // Wait for every chunk before rethrowing, so `body`'s captures stay
   // alive for stragglers even when an early chunk failed. Every failure is
   // collected: rethrowing only the first would silently drop the rest.
+  {
+    std::unique_lock<std::mutex> lock(latchMutex);
+    latchDone.wait(lock, [&] { return pending == 0; });
+  }
   std::vector<std::exception_ptr> failures;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      failures.push_back(std::current_exception());
-    }
+  for (std::exception_ptr& slot : slots) {
+    if (slot) failures.push_back(std::move(slot));
   }
   if (failures.empty()) return;
   if (failures.size() == 1) std::rethrow_exception(failures.front());

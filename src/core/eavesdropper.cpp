@@ -1,26 +1,13 @@
 #include "core/eavesdropper.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace rfp::core {
 
-namespace {
-
-bool sceneCacheKilledByEnv() {
-  const char* env = std::getenv("RFP_SCENE_CACHE");
-  return env != nullptr && std::strcmp(env, "0") == 0;
-}
-
-}  // namespace
-
-EavesdropperRadar::EavesdropperRadar(SensingConfig config, bool sceneCache)
+EavesdropperRadar::EavesdropperRadar(SensingConfig config)
     : config_(config),
       frontend_(config.radar),
       processor_(config.radar, config.processor),
       detector_(config.detector),
-      tracker_(config.tracker),
-      sceneCacheEnabled_(sceneCache && !sceneCacheKilledByEnv()) {}
+      tracker_(config.tracker) {}
 
 std::optional<Observation> EavesdropperRadar::observe(
     std::span<const env::PointScatterer> scatterers, double timestampS,
@@ -63,14 +50,12 @@ void EavesdropperRadar::senseRawInto(
   const std::uint64_t noiseSeed =
       config_.radar.noisePower > 0.0 ? rng.engine()() : 0;
   frontend_.synthesizeInto(frame, scatterers, timestampS, noiseSeed,
-                           /*chirpIndex=*/0,
-                           sceneCacheEnabled_ ? &sceneCache_ : nullptr);
+                           /*chirpIndex=*/0, &toneMemo_);
 }
 
 void EavesdropperRadar::reset() {
   processor_.resetBackground();
   tracker_ = tracking::MultiTargetTracker(config_.tracker);
-  sceneCache_.invalidate();
 }
 
 }  // namespace rfp::core

@@ -6,14 +6,14 @@
 /// The legitimate sensor reuses the same sensing stack (Sec. 11.3) -- the
 /// only difference is what it does with the ledger.
 ///
-/// The stack owns a radar::SceneCache (on by default; the constructor
-/// flag or RFP_SCENE_CACHE=0 disables it) so repeated synthesis of a
-/// mostly-static scene re-sums memoized beat-tone rows instead of
-/// re-deriving them -- bit-identical either way (scene_cache.h). The
-/// observeFrame() pipeline is also exposed as its steps (backgroundDiff /
-/// processor().processInto / observeDetections) so a frame loop can run
-/// it on reused buffers without a second code path: observe() and
-/// observeFrame() are themselves composed from the same pieces.
+/// The stack owns a radar::ToneMemo, so repeated synthesis of a
+/// mostly-static scene reuses each scatterer's memoized tone-chain
+/// starts instead of re-deriving them -- bit-identical either way
+/// (tone_memo.h). The observeFrame() pipeline is also exposed as its
+/// steps (backgroundDiff / processor().processInto / observeDetections)
+/// so a frame loop can run it on reused buffers without a second code
+/// path: observe() and observeFrame() are themselves composed from the
+/// same pieces.
 
 #include <optional>
 #include <span>
@@ -23,7 +23,7 @@
 #include "env/scatterer.h"
 #include "radar/frontend.h"
 #include "radar/processor.h"
-#include "radar/scene_cache.h"
+#include "radar/tone_memo.h"
 #include "tracking/detection.h"
 #include "tracking/tracker.h"
 
@@ -47,9 +47,7 @@ struct Observation {
 /// A complete FMCW sensing stack.
 class EavesdropperRadar {
  public:
-  /// \p sceneCache enables beat-tone memoization (the RFP_SCENE_CACHE=0
-  /// environment kill-switch overrides it to off).
-  explicit EavesdropperRadar(SensingConfig config, bool sceneCache = true);
+  explicit EavesdropperRadar(SensingConfig config);
 
   const SensingConfig& config() const { return config_; }
   const radar::Processor& processor() const { return processor_; }
@@ -70,7 +68,7 @@ class EavesdropperRadar {
                                           double timestampS);
 
   /// Raw frame synthesis without processing (for phase-level analyses such
-  /// as breathing extraction, Fig. 14). Non-const: feeds the scene cache.
+  /// as breathing extraction, Fig. 14). Non-const: feeds the tone memo.
   radar::Frame senseRaw(std::span<const env::PointScatterer> scatterers,
                         double timestampS, rfp::common::Rng& rng);
 
@@ -100,12 +98,10 @@ class EavesdropperRadar {
   void observeDetections(const radar::RangeAngleMap& map, double timestampS,
                          std::vector<tracking::Detection>& detections);
 
-  /// Scene-cache controls. invalidateSceneCache() drops memoized rows
-  /// (the harness calls it on frame-corrupting fault events).
-  const radar::SceneCache& sceneCache() const { return sceneCache_; }
-  void invalidateSceneCache() { sceneCache_.invalidate(); }
+  /// The tone memo, for its hit counts.
+  const radar::ToneMemo& toneMemo() const { return toneMemo_; }
 
-  /// Resets tracker, background, and scene-cache state.
+  /// Resets tracker and background state.
   void reset();
 
  private:
@@ -114,8 +110,7 @@ class EavesdropperRadar {
   radar::Processor processor_;
   tracking::PeakDetector detector_;
   tracking::MultiTargetTracker tracker_;
-  radar::SceneCache sceneCache_;
-  bool sceneCacheEnabled_ = true;
+  radar::ToneMemo toneMemo_;
   radar::ProcessorScratch processorScratch_;
   tracking::DetectScratch detectScratch_;
 };

@@ -145,14 +145,14 @@ std::vector<double> robustAlignedErrors(const std::vector<Vec2>& source,
 struct SpoofEpochRunner::Impl {
   Impl(const Scenario& scenario, RfProtectSystem& system, int ghostId,
        double startTimeS, rfp::common::Rng& rng,
-       const fault::FaultSchedule* schedule, bool sceneCache)
+       const fault::FaultSchedule* schedule)
       : scenario(scenario),
         system(system),
         ghostId(ghostId),
         rng(rng),
         schedule(schedule),
         environment(scenario.plan),  // no humans: phantom only
-        radar(scenario.sensing, sceneCache),
+        radar(scenario.sensing),
         dt(1.0 / scenario.sensing.radar.frameRateHz),
         duration(startTimeS + rfp::common::kTraceDurationS + 2.0 * dt),
         follower(/*gateM=*/1.2) {}
@@ -174,11 +174,6 @@ struct SpoofEpochRunner::Impl {
     if (ghostActive && faults.discrete()) ++result.framesFaulted;
     if (faults.radarFrameDropped) {
       if (ghostActive) ++result.framesDroppedRadar;
-      // Defensive cache hygiene on frame-corrupting fault events: drop
-      // memoized rows so a fault episode can never interact with reuse
-      // (correctness never depends on this -- entries are keyed on pure
-      // physics -- but it keeps the fault path trivially auditable).
-      radar.invalidateSceneCache();
       return;
     }
     combineScatterersInto(scatterers, environment, t, rng,
@@ -186,7 +181,6 @@ struct SpoofEpochRunner::Impl {
     radar.senseRawInto(frameBuf, scatterers, t, rng);
     if (std::isfinite(faults.adcClipLevel)) {
       radar::applyAdcSaturation(frameBuf, faults.adcClipLevel);
-      radar.invalidateSceneCache();
     }
     const radar::Frame* diff = radar.backgroundDiff(frameBuf);
     if (diff == nullptr) return;
@@ -243,10 +237,9 @@ struct SpoofEpochRunner::Impl {
 SpoofEpochRunner::SpoofEpochRunner(const Scenario& scenario,
                                    RfProtectSystem& system, int ghostId,
                                    double startTimeS, rfp::common::Rng& rng,
-                                   const fault::FaultSchedule* schedule,
-                                   bool sceneCache)
+                                   const fault::FaultSchedule* schedule)
     : impl_(std::make_unique<Impl>(scenario, system, ghostId, startTimeS, rng,
-                                   schedule, sceneCache)) {}
+                                   schedule)) {}
 
 SpoofEpochRunner::~SpoofEpochRunner() = default;
 
@@ -270,8 +263,8 @@ const radar::RangeAngleMap& SpoofEpochRunner::lastMap() const {
   return impl_->mapBuf;
 }
 
-const radar::SceneCache& SpoofEpochRunner::sceneCache() const {
-  return impl_->radar.sceneCache();
+const radar::ToneMemo& SpoofEpochRunner::toneMemo() const {
+  return impl_->radar.toneMemo();
 }
 
 SpoofRunResult SpoofEpochRunner::finish() {

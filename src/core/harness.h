@@ -77,13 +77,9 @@ struct SpoofEpochSample {
 /// (and schedule, if given) must outlive the runner.
 class SpoofEpochRunner {
  public:
-  /// \p sceneCache enables the eavesdropper stack's beat-tone memoization
-  /// (bit-identical either way; the recovery replay path runs with it off
-  /// to record cache-bypass).
   SpoofEpochRunner(const Scenario& scenario, RfProtectSystem& system,
                    int ghostId, double startTimeS, rfp::common::Rng& rng,
-                   const fault::FaultSchedule* schedule = nullptr,
-                   bool sceneCache = true);
+                   const fault::FaultSchedule* schedule = nullptr);
   ~SpoofEpochRunner();
   SpoofEpochRunner(const SpoofEpochRunner&) = delete;
   SpoofEpochRunner& operator=(const SpoofEpochRunner&) = delete;
@@ -104,8 +100,8 @@ class SpoofEpochRunner {
   /// (reused storage, overwritten by the next processed frame).
   const radar::RangeAngleMap& lastMap() const;
 
-  /// Scene-cache statistics of the underlying eavesdropper stack.
-  const radar::SceneCache& sceneCache() const;
+  /// The tone memo of the underlying eavesdropper stack.
+  const radar::ToneMemo& toneMemo() const;
 
   /// Rigid-aligned location errors, ledger decision counters, and link
   /// stats over the whole run; call once, after done().

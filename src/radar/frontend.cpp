@@ -9,8 +9,8 @@
 #include "common/cpuid.h"
 #include "common/det_hash.h"
 #include "common/thread_pool.h"
-#include "radar/scene_cache.h"
 #include "radar/simd_kernels.h"
+#include "radar/tone_memo.h"
 #include "signal/noise.h"
 
 namespace rfp::radar {
@@ -29,7 +29,7 @@ Frontend::Frontend(RadarConfig config) : config_(std::move(config)) {
   config_.validate();
   // Hash every field the tone math reads: chirp timing/sweep, array
   // geometry, and the path-loss model. The kernel level is mixed in per
-  // frame by sceneFingerprint() because it can change at runtime.
+  // frame by synthesizeInto() because it can change at runtime.
   std::uint64_t h = 0x5ce7eca5eull;
   h = mixField(h, config_.chirp.startHz);
   h = mixField(h, config_.chirp.stopHz);
@@ -45,12 +45,6 @@ Frontend::Frontend(RadarConfig config) : config_(std::move(config)) {
   h = mixField(h, config_.pathLossRefM);
   h = mixField(h, config_.pathLossExponent);
   configHash_ = h;
-}
-
-std::uint64_t Frontend::sceneFingerprint() const {
-  return rfp::common::splitmix64(
-      configHash_ ^
-      static_cast<std::uint64_t>(rfp::common::simd::activeKernelLevel()));
 }
 
 double Frontend::pathAmplitude(double distanceM) const {
@@ -72,7 +66,7 @@ Frame Frontend::synthesize(std::span<const env::PointScatterer> scatterers,
                            std::uint64_t chirpIndex) const {
   Frame frame;
   synthesizeInto(frame, scatterers, timestampS, noiseSeed, chirpIndex,
-                 /*cache=*/nullptr);
+                 /*memo=*/nullptr);
   return frame;
 }
 
@@ -80,7 +74,7 @@ void Frontend::synthesizeInto(Frame& frame,
                               std::span<const env::PointScatterer> scatterers,
                               double timestampS, std::uint64_t noiseSeed,
                               std::uint64_t chirpIndex,
-                              SceneCache* cache) const {
+                              ToneMemo* memo) const {
   const std::size_t numSamples = config_.chirp.samplesPerChirp();
   const std::size_t numAntennas =
       static_cast<std::size_t>(config_.numAntennas);
@@ -94,121 +88,71 @@ void Frontend::synthesizeInto(Frame& frame,
   frame.samples.resize(numAntennas);
   for (auto& row : frame.samples) row.assign(numSamples, Complex{});
 
-  // The tone accumulation runs through the cpuid-selected kernel
-  // (DESIGN.md Sec. 13), resolved once per frame.
-  const detail::ToneAccumFn toneAccum =
-      detail::toneAccumForLevel(rfp::common::simd::activeKernelLevel());
-  auto& pool = rfp::common::ThreadPool::global();
+  // The tone kernels run at the cpuid-selected level (DESIGN.md Sec. 13),
+  // resolved once per frame; the memo is valid under this level only.
+  const rfp::common::simd::KernelLevel level =
+      rfp::common::simd::activeKernelLevel();
+  const detail::ToneAccumChainsFn accumChains =
+      detail::toneAccumChainsForLevel(level);
 
-  if (cache != nullptr) {
-    // Cached path: serial acquire in list order (the fingerprint drops
-    // the cache across config/kernel changes), then an antenna fan-out
-    // that fills only the fresh rows and re-sums every row in the same
-    // list order -- bit-identical to the fused loop below because the
-    // kernel's tone values do not depend on the accumulator.
-    cache->beginFrame(sceneFingerprint(), numAntennas, numSamples);
-    for (const env::PointScatterer& s : scatterers) {
-      SceneCache::Ref& r = cache->acquire(s);
-      if (r.entry == nullptr) {
-        // Doorkeeper declined (first sighting, typically a moving ghost
-        // pose): hoist the TX geometry onto the ref and synthesize fused.
-        r.dTx = (s.position - txPos).norm() + s.radialOffsetM;
-        r.amp = s.amplitude * pathAmplitude(r.dTx);
-      } else if (r.fresh) {
-        SceneCache::Entry& e = *r.entry;
-        e.dTx = (s.position - txPos).norm() + s.radialOffsetM;
-        e.amp = s.amplitude * pathAmplitude(e.dTx);
-        e.nonzero = e.amp > 0.0;
-      }
+  // Serial pass: each scatterer's chain start per antenna, from the memo
+  // or computed, goes to column `count` of the [antenna][scatterer]
+  // array, so every antenna row reads its chains contiguously in list
+  // order. The frame keeps its own copy because a later scatterer may
+  // overwrite the memo slot. A scatterer whose amplitude after path loss
+  // is not positive (zero, negative or NaN) takes no column: a zero tone
+  // adds nothing, and std::polar's magnitude must be neither negative nor
+  // NaN.
+  const std::size_t stride = scatterers.size();
+  std::vector<detail::ToneChain> ownChains;
+  std::vector<detail::ToneChain>& chains =
+      memo != nullptr ? memo->frameChains() : ownChains;
+  chains.resize(numAntennas * stride);
+  if (memo != nullptr) {
+    memo->beginFrame(rfp::common::splitmix64(
+                         configHash_ ^ static_cast<std::uint64_t>(level)),
+                     numAntennas);
+  }
+  std::size_t count = 0;
+  for (const env::PointScatterer& s : scatterers) {
+    detail::ToneChain* column = chains.data() + count;
+    bool nonzero = false;
+    if (memo != nullptr && memo->lookup(s, column, stride, nonzero)) {
+      count += nonzero ? 1 : 0;
+      continue;
     }
-    const std::span<const SceneCache::Ref> refs = cache->frameRefs();
-    pool.parallelFor(0, numAntennas, [&](std::size_t k) {
-      std::vector<Complex>& dst = frame.samples[k];
+    const double dTx = (s.position - txPos).norm() + s.radialOffsetM;
+    const double amp = s.amplitude * pathAmplitude(dTx);
+    nonzero = amp > 0.0;
+    for (std::size_t k = 0; nonzero && k < numAntennas; ++k) {
       const Vec2 rxPos = config_.antennaPosition(static_cast<int>(k));
-      for (std::size_t i = 0; i < scatterers.size(); ++i) {
-        if (refs[i].entry == nullptr) {
-          // Bypassed dynamic scatterer: same math as the fused loop
-          // below, accumulated straight into the output row. Order is
-          // list order either way, so the frame stays bit-identical.
-          const double amp = refs[i].amp;
-          if (amp <= 0.0) continue;
-          const env::PointScatterer& s = scatterers[i];
-          const double dRx = (s.position - rxPos).norm() + s.radialOffsetM;
-          const double tau =
-              (refs[i].dTx + dRx) / rfp::common::kSpeedOfLight;
-          const double beatHz = sl * tau + s.beatFreqOffsetHz;
-          const double basePhase = twoPi * f0 * tau + s.phaseOffsetRad;
-          toneAccum(dst.data(), numSamples, std::polar(amp, basePhase),
-                    std::polar(1.0, twoPi * beatHz * dt));
-          continue;
-        }
-        SceneCache::Entry& e = *refs[i].entry;
-        // A duplicate key later in the list resolves to the same entry:
-        // only the first (fresh) occurrence fills the row, every
-        // occurrence re-sums it -- matching the fused double-accumulate.
-        if (refs[i].fresh && e.nonzero) {
-          const env::PointScatterer& s = scatterers[i];
-          const double dRx = (s.position - rxPos).norm() + s.radialOffsetM;
-          const double tau = (e.dTx + dRx) / rfp::common::kSpeedOfLight;
-          const double beatHz = sl * tau + s.beatFreqOffsetHz;
-          const double basePhase = twoPi * f0 * tau + s.phaseOffsetRad;
-          toneAccum(e.data.data() + k * numSamples, numSamples,
-                    std::polar(e.amp, basePhase),
-                    std::polar(1.0, twoPi * beatHz * dt));
-        }
-        if (e.nonzero) {
-          const Complex* row = e.data.data() + k * numSamples;
-          Complex* out = dst.data();
-          for (std::size_t n = 0; n < numSamples; ++n) out[n] += row[n];
-        }
-      }
-      if (config_.noisePower > 0.0) {
-        rfp::signal::addAwgn(dst, config_.noisePower, noiseSeed,
-                             chirpIndex, /*stream=*/k);
-      }
-    });
-    cache->endFrame();
-    return;
-  }
-
-  // TX-side geometry is antenna-independent; hoist it out of the fan-out.
-  struct TxPath {
-    double dTx;
-    double amp;
-  };
-  std::vector<TxPath> tx(scatterers.size());
-  for (std::size_t i = 0; i < scatterers.size(); ++i) {
-    const env::PointScatterer& s = scatterers[i];
-    tx[i].dTx = (s.position - txPos).norm() + s.radialOffsetM;
-    tx[i].amp = s.amplitude * pathAmplitude(tx[i].dTx);
-  }
-
-  // Each antenna owns its sample buffer and accumulates scatterer tones in
-  // list order, so the result is bit-identical at any thread count.
-  pool.parallelFor(0, numAntennas, [&](std::size_t k) {
-    std::vector<Complex>& dst = frame.samples[k];
-    const Vec2 rxPos = config_.antennaPosition(static_cast<int>(k));
-    for (std::size_t i = 0; i < scatterers.size(); ++i) {
-      const env::PointScatterer& s = scatterers[i];
-      const double amp = tx[i].amp;
-      if (amp <= 0.0) continue;
       const double dRx = (s.position - rxPos).norm() + s.radialOffsetM;
-      const double tau = (tx[i].dTx + dRx) / rfp::common::kSpeedOfLight;
+      const double tau = (dTx + dRx) / rfp::common::kSpeedOfLight;
       const double beatHz = sl * tau + s.beatFreqOffsetHz;
       const double basePhase = twoPi * f0 * tau + s.phaseOffsetRad;
+      // The tone is phasor * rot^n: a per-sample rotation instead of
+      // numSamples sin/cos calls per scatterer-antenna pair.
+      column[k * stride] =
+          detail::toneChain(level, std::polar(amp, basePhase),
+                            std::polar(1.0, twoPi * beatHz * dt));
+    }
+    if (memo != nullptr) memo->fill(nonzero, column, stride);
+    count += nonzero ? 1 : 0;
+  }
 
-      // Accumulate the tone with a per-sample phase rotation; the
-      // recurrence avoids numSamples sin/cos calls per
-      // scatterer-antenna pair.
-      const Complex rot = std::polar(1.0, twoPi * beatHz * dt);
-      const Complex phasor = std::polar(amp, basePhase);
-      toneAccum(dst.data(), numSamples, phasor, rot);
-    }
-    if (config_.noisePower > 0.0) {
-      rfp::signal::addAwgn(dst, config_.noisePower, noiseSeed,
-                           chirpIndex, /*stream=*/k);
-    }
-  });
+  // Each antenna owns its sample buffer and adds its chains in list order
+  // in one kernel call, so the result is bit-identical at any thread
+  // count.
+  rfp::common::ThreadPool::global().parallelFor(
+      0, numAntennas, [&](std::size_t k) {
+        std::vector<Complex>& dst = frame.samples[k];
+        accumChains(dst.data(), numSamples, chains.data() + k * stride,
+                    count);
+        if (config_.noisePower > 0.0) {
+          rfp::signal::addAwgn(dst, config_.noisePower, noiseSeed,
+                               chirpIndex, /*stream=*/k);
+        }
+      });
 }
 
 void applyAdcSaturation(Frame& frame, double clipLevel) {

@@ -12,10 +12,11 @@
 /// far field. RF-Protect's switching adds `beatFreqOffsetHz` to the tone and
 /// its phase shifter adds `phaseOffsetRad` (paper Eq. 3 / Sec. 5.3).
 ///
-/// Parallelism & determinism (DESIGN.md Sec. 8). Synthesis fans out across
-/// antennas on the global thread pool; each antenna accumulates its
-/// scatterer tones in list order into its own sample buffer, so the frame
-/// is bit-identical at any thread count. Receiver noise comes from
+/// Parallelism & determinism (DESIGN.md Sec. 8). Each scatterer's
+/// per-antenna tone chains are resolved on the calling thread; synthesis
+/// then fans out across antennas on the global thread pool, and each
+/// antenna adds its scatterer tones in list order into its own sample
+/// buffer, so the frame is bit-identical at any thread count. Receiver noise comes from
 /// counter-based streams keyed (noiseSeed, chirpIndex, antenna, sample)
 /// rather than a shared sequential engine -- the Rng overload merely draws
 /// one 64-bit per-chirp seed on the calling thread and delegates.
@@ -31,7 +32,7 @@
 
 namespace rfp::radar {
 
-class SceneCache;
+class ToneMemo;
 
 /// Beat-signal synthesizer for a configured radar.
 ///
@@ -63,22 +64,17 @@ class Frontend {
                    std::uint64_t chirpIndex) const;
 
   /// Deterministic synthesis into a caller-owned buffer: \p frame is
-  /// resized (antenna rows reuse their capacity) and overwritten, so a
-  /// steady-state caller performs no allocation. With a non-null \p cache
-  /// each scatterer's per-antenna beat-tone rows are memoized and the
-  /// frame assembled by re-summing them in list order; the result is
-  /// bit-identical to the uncached path at any thread count and cache
-  /// temperature (scene_cache.h).
+  /// resized (antenna rows reuse their capacity) and overwritten. With a
+  /// non-null \p memo each scatterer's per-antenna tone-chain starts are
+  /// memoized across frames and a steady-state caller performs no
+  /// allocation; without one every chain is computed. The frame is
+  /// bit-identical either way, at any thread count (tone_memo.h). A memo
+  /// must not be shared by concurrent calls.
   void synthesizeInto(Frame& frame,
                       std::span<const env::PointScatterer> scatterers,
                       double timestampS, std::uint64_t noiseSeed,
                       std::uint64_t chirpIndex,
-                      SceneCache* cache = nullptr) const;
-
-  /// Fingerprint over every configuration field that enters the tone
-  /// math plus the active SIMD kernel level; SceneCache drops itself when
-  /// this changes between frames.
-  std::uint64_t sceneFingerprint() const;
+                      ToneMemo* memo = nullptr) const;
 
   /// Amplitude observed from a scatterer of unit reflectivity at distance
   /// \p d (radar-equation path loss, normalized at config.pathLossRefM).

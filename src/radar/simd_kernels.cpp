@@ -14,31 +14,38 @@ namespace rfp::radar::detail {
 using rfp::common::simd::fmaComplexMul;
 using rfp::common::simd::KernelLevel;
 
-void toneAccumScalar(Complex* dst, std::size_t n, Complex phasor,
-                     Complex rot) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] += phasor;
-    phasor *= rot;
-  }
-}
-
-ToneLanes toneLanes(Complex phasor, Complex rot) {
+ToneChain toneChain(KernelLevel level, Complex phasor, Complex rot) {
+  if (level == KernelLevel::kSse2) return {{phasor}, rot};
   const Complex rot2 = rot * rot;
   return {{phasor, phasor * rot, phasor * rot2, (phasor * rot) * rot2},
           rot2 * rot2};
 }
 
-void toneAccumFmaRef(Complex* dst, std::size_t n, Complex phasor,
-                     Complex rot) {
-  ToneLanes lanes = toneLanes(phasor, rot);
-  Complex* p = lanes.p;
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t i = 0;
-  for (; i < n4; i += 4) {
-    for (int j = 0; j < 4; ++j) dst[i + j] += p[j];
-    for (int j = 0; j < 4; ++j) p[j] = fmaComplexMul(p[j], lanes.rot4);
+void toneAccumChainsScalar(Complex* dst, std::size_t n,
+                           const ToneChain* chains, std::size_t count) {
+  for (std::size_t c = 0; c < count; ++c) {
+    Complex phasor = chains[c].p[0];
+    const Complex step = chains[c].step;
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] += phasor;
+      phasor *= step;
+    }
   }
-  for (std::size_t j = 0; i + j < n; ++j) dst[i + j] += p[j];
+}
+
+void toneAccumChainsFmaRef(Complex* dst, std::size_t n,
+                           const ToneChain* chains, std::size_t count) {
+  const std::size_t n4 = n & ~std::size_t{3};
+  for (std::size_t c = 0; c < count; ++c) {
+    ToneChain chain = chains[c];
+    Complex* p = chain.p;
+    std::size_t i = 0;
+    for (; i < n4; i += 4) {
+      for (int j = 0; j < 4; ++j) dst[i + j] += p[j];
+      for (int j = 0; j < 4; ++j) p[j] = fmaComplexMul(p[j], chain.step);
+    }
+    for (std::size_t j = 0; i + j < n; ++j) dst[i + j] += p[j];
+  }
 }
 
 Complex beamformDotScalar(const Complex* s, const Complex* w, std::size_t n) {
@@ -97,20 +104,20 @@ void beamformRowsFmaRef(const Complex* s, std::size_t rows, const Complex* w,
   beamformRowsWith<&beamformDotFmaRef>(s, rows, w, nAnt, nAngles, out);
 }
 
-ToneAccumFn toneAccumForLevel(KernelLevel level) {
+ToneAccumChainsFn toneAccumChainsForLevel(KernelLevel level) {
 #if defined(RFP_X86_KERNELS)
   switch (level) {
     case KernelLevel::kAvx512:
-      return &toneAccumAvx512;
+      return &toneAccumChainsAvx512;
     case KernelLevel::kAvx2Fma:
-      return &toneAccumAvx2;
+      return &toneAccumChainsAvx2;
     case KernelLevel::kSse2:
       break;
   }
 #else
   (void)level;
 #endif
-  return &toneAccumScalar;
+  return &toneAccumChainsScalar;
 }
 
 BeamformRowsFn beamformRowsForLevel(KernelLevel level) {

@@ -2,7 +2,7 @@
 
 /// \file simd_kernels.h
 /// Internal declarations of the per-ISA radar hot-loop kernels
-/// (DESIGN.md Sec. 13): complex tone accumulation in Frontend::synthesize
+/// (DESIGN.md Sec. 13): tone-chain accumulation in Frontend::synthesize
 /// and the Eq. 2 beamforming dot product in Processor::process. Exposed
 /// as a header so test_kernels can drive every level explicitly.
 ///
@@ -13,8 +13,8 @@
 ///  - *Avx2 / *Avx512 share one FMA-regime specification -- fixed
 ///    per-lane accumulation chains and a fixed four-lane decomposition
 ///    at BOTH widths -- so they are bit-identical to each other and to
-///    the portable *FmaRef emulations. (The tone kernel deliberately
-///    stays four lanes wide at AVX-512; see DESIGN.md Sec. 13.)
+///    the portable *FmaRef emulations. (A tone chain deliberately stays
+///    four lanes wide at AVX-512; see DESIGN.md Sec. 13.)
 
 #include <cstddef>
 
@@ -23,26 +23,34 @@
 
 namespace rfp::radar::detail {
 
-/// Accumulates the geometric tone `dst[i] += phasor * rot^i` for
-/// i in [0, n). The FMA regime splits the recurrence into four lanes
-/// stepping by rot^4: the lane prologue is toneLanes(phasor, rot), then
-/// each lane steps by fmaComplexMul(p, rot^4) after its sample is added.
-using ToneAccumFn = void (*)(Complex* dst, std::size_t n, Complex phasor,
-                             Complex rot);
-
-/// The FMA-regime tone prologue: lane starts p0..p3 = phasor * {1, rot,
-/// rot^2, rot*rot^2} and the lane step rot^4, in plain std::complex
-/// arithmetic (rot^2 = rot*rot, rot^4 = rot^2*rot^2, p3 = (phasor*rot) *
-/// rot^2). It lives in the baseline TU, and every implementation of the
-/// regime calls it: GCC compiles a std::complex product in an -mfma TU
-/// with its vectorized complex-multiply pattern (vmulpd + vfmaddsub)
-/// despite -ffp-contract=off, so a vector TU computing it inline rounds
-/// differently from the reference (DESIGN.md Sec. 13).
-struct ToneLanes {
+/// One tone's chain state: the values its next four samples add and
+/// the factor that advances them. At sse2 the chain is the plain
+/// recurrence (p[0] = phasor, step = rot, p[1..3] unused); at the FMA
+/// levels it is four lanes stepping by rot^4 (toneChain below).
+struct ToneChain {
   Complex p[4];
-  Complex rot4;
+  Complex step;
 };
-ToneLanes toneLanes(Complex phasor, Complex rot);
+
+/// The chain of the tone phasor * rot^i at \p level. The FMA prologue,
+/// p0..p3 = phasor * {1, rot, rot^2, rot*rot^2} and step rot^4, runs in
+/// plain std::complex arithmetic (rot^2 = rot*rot, rot^4 = rot^2*rot^2,
+/// p3 = (phasor*rot) * rot^2). It lives in this baseline TU because GCC
+/// compiles a std::complex product in an -mfma TU with its vectorized
+/// complex-multiply pattern (vmulpd + vfmaddsub) despite
+/// -ffp-contract=off, so a vector TU computing it would round
+/// differently from the reference (DESIGN.md Sec. 13).
+ToneChain toneChain(rfp::common::simd::KernelLevel level, Complex phasor,
+                    Complex rot);
+
+/// Adds \p count tone chains of one level into dst[0, n), in list
+/// order: every sample becomes dst + t_0 + t_1 + ... with each t_c
+/// exactly the value the level's single-chain loop produces. The vector
+/// variants interleave several chains per pass over dst, which changes
+/// only when the adds issue, never their order per sample.
+using ToneAccumChainsFn = void (*)(Complex* dst, std::size_t n,
+                                   const ToneChain* chains,
+                                   std::size_t count);
 
 /// Beamforms \p rows consecutive range rows: for row r, with spectra
 /// s + r * nAnt ([row][antenna]), out[r * nAngles + a] = |dot(spectra,
@@ -61,12 +69,17 @@ using BeamformRowsFn = void (*)(const Complex* s, std::size_t rows,
                                 const double* wImT, std::size_t nAnt,
                                 std::size_t nAngles, double* out);
 
-/// Seed-exact scalar recurrence (simd_kernels.cpp).
-void toneAccumScalar(Complex* dst, std::size_t n, Complex phasor, Complex rot);
+/// Seed-exact scalar recurrence, chain after chain: dst[i] += p; p *=
+/// step (simd_kernels.cpp).
+void toneAccumChainsScalar(Complex* dst, std::size_t n,
+                           const ToneChain* chains, std::size_t count);
 
-/// Portable scalar emulation of the FMA-regime tone kernel: the memcmp
-/// oracle for toneAccumAvx2/toneAccumAvx512.
-void toneAccumFmaRef(Complex* dst, std::size_t n, Complex phasor, Complex rot);
+/// Portable scalar emulation of the FMA-regime tone chains, chain after
+/// chain: four lanes, each stepping by fmaComplexMul(p, step) after its
+/// sample is added, the last n % 4 samples taking the leading lanes. The
+/// memcmp oracle for toneAccumChainsAvx2/toneAccumChainsAvx512.
+void toneAccumChainsFmaRef(Complex* dst, std::size_t n,
+                           const ToneChain* chains, std::size_t count);
 
 /// Seed-exact single-accumulator Eq. 2 dot product sum_k s[k] * w[k]
 /// (simd_kernels.cpp).
@@ -95,13 +108,15 @@ void beamformRowsFmaRef(const Complex* s, std::size_t rows, const Complex* w,
                         std::size_t nAnt, std::size_t nAngles, double* out);
 
 #if defined(RFP_X86_KERNELS)
-/// Two complex lanes per 256-bit vector, two vectors in flight
-/// (simd_kernels_avx2.cpp).
-void toneAccumAvx2(Complex* dst, std::size_t n, Complex phasor, Complex rot);
-
-/// Four complex lanes per 512-bit vector (simd_kernels_avx512.cpp);
-/// bit-identical to the AVX2 variants by construction.
-void toneAccumAvx512(Complex* dst, std::size_t n, Complex phasor, Complex rot);
+/// Three chains per pass over dst, each as two 256-bit vectors of two
+/// lanes (simd_kernels_avx2.cpp), and eight chains per pass, each in one
+/// 512-bit vector (simd_kernels_avx512.cpp): the chain state stays in
+/// registers across the pass. Both run the last n % 4 samples as one
+/// masked block and are bit-identical to toneAccumChainsFmaRef.
+void toneAccumChainsAvx2(Complex* dst, std::size_t n, const ToneChain* chains,
+                         std::size_t count);
+void toneAccumChainsAvx512(Complex* dst, std::size_t n,
+                           const ToneChain* chains, std::size_t count);
 
 /// Angle- and row-batched sweeps with per-lane chains identical to
 /// beamformRowsFmaRef: four angle lanes per vector and two rows per
@@ -119,7 +134,8 @@ void beamformRowsAvx512(const Complex* s, std::size_t rows, const Complex* w,
 
 /// Kernel registries for \p level (SSE2 scalar when the vector TUs are
 /// not compiled in).
-ToneAccumFn toneAccumForLevel(rfp::common::simd::KernelLevel level);
+ToneAccumChainsFn toneAccumChainsForLevel(
+    rfp::common::simd::KernelLevel level);
 BeamformRowsFn beamformRowsForLevel(rfp::common::simd::KernelLevel level);
 
 }  // namespace rfp::radar::detail

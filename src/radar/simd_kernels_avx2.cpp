@@ -16,38 +16,75 @@
 
 namespace rfp::radar::detail {
 
-void toneAccumAvx2(Complex* dst, std::size_t n, Complex phasor, Complex rot) {
-  // The lane prologue comes from the baseline TU (toneLanes): computed
-  // here, GCC would fuse its complex products.
-  const ToneLanes lanes = toneLanes(phasor, rot);
-  const double* p = reinterpret_cast<const double*>(lanes.p);
-  __m256d p01 = _mm256_loadu_pd(p);
-  __m256d p23 = _mm256_loadu_pd(p + 4);
-  const __m256d rre = _mm256_set1_pd(lanes.rot4.real());
-  const __m256d rim = _mm256_set1_pd(lanes.rot4.imag());
-  double* d = reinterpret_cast<double*>(dst);
+namespace {
+
+/// K chains over dst[0, n), each as two vectors (lanes 0-1, 2-3) with its
+/// step broadcast into two more: 4K + 4 of the 16 registers, so K = 3
+/// runs without spills. Per four-sample block each accumulator takes the
+/// chains in list order, then each chain steps by the fma_complex.h
+/// pattern; the last n % 4 samples run the same adds in one masked
+/// block.
+template <std::size_t K>
+void toneChainGroup(double* d, std::size_t n, const ToneChain* chains) {
+  __m256d p01[K], p23[K], rre[K], rim[K];
+#pragma GCC unroll 4
+  for (std::size_t c = 0; c < K; ++c) {
+    const double* pc = reinterpret_cast<const double*>(chains[c].p);
+    p01[c] = _mm256_loadu_pd(pc);
+    p23[c] = _mm256_loadu_pd(pc + 4);
+    rre[c] = _mm256_set1_pd(chains[c].step.real());
+    rim[c] = _mm256_set1_pd(chains[c].step.imag());
+  }
   const std::size_t n4 = n & ~std::size_t{3};
   std::size_t i = 0;
   for (; i < n4; i += 4) {
-    _mm256_storeu_pd(d + 2 * i,
-                     _mm256_add_pd(_mm256_loadu_pd(d + 2 * i), p01));
-    _mm256_storeu_pd(d + 2 * i + 4,
-                     _mm256_add_pd(_mm256_loadu_pd(d + 2 * i + 4), p23));
-    // p *= rot4, the fma_complex.h pattern with a broadcast multiplier.
-    const __m256d t01 = _mm256_mul_pd(_mm256_permute_pd(p01, 0x5), rim);
-    const __m256d t23 = _mm256_mul_pd(_mm256_permute_pd(p23, 0x5), rim);
-    p01 = _mm256_fmaddsub_pd(p01, rre, t01);
-    p23 = _mm256_fmaddsub_pd(p23, rre, t23);
+    __m256d acc01 = _mm256_loadu_pd(d + 2 * i);
+    __m256d acc23 = _mm256_loadu_pd(d + 2 * i + 4);
+#pragma GCC unroll 4
+    for (std::size_t c = 0; c < K; ++c) {
+      acc01 = _mm256_add_pd(acc01, p01[c]);
+      acc23 = _mm256_add_pd(acc23, p23[c]);
+      const __m256d t01 =
+          _mm256_mul_pd(_mm256_permute_pd(p01[c], 0x5), rim[c]);
+      const __m256d t23 =
+          _mm256_mul_pd(_mm256_permute_pd(p23[c], 0x5), rim[c]);
+      p01[c] = _mm256_fmaddsub_pd(p01[c], rre[c], t01);
+      p23[c] = _mm256_fmaddsub_pd(p23[c], rre[c], t23);
+    }
+    _mm256_storeu_pd(d + 2 * i, acc01);
+    _mm256_storeu_pd(d + 2 * i + 4, acc23);
   }
-  // The last n % 4 samples take the leading lanes, added with intrinsics
-  // like the rest (no std::complex arithmetic in this TU).
-  alignas(32) double tail[8];
-  _mm256_store_pd(tail, p01);
-  _mm256_store_pd(tail + 4, p23);
-  for (std::size_t j = 0; i + j < n; ++j) {
-    double* dj = d + 2 * (i + j);
-    _mm_storeu_pd(dj, _mm_add_pd(_mm_loadu_pd(dj), _mm_load_pd(tail + 2 * j)));
+  if (i < n) {
+    // Doubles 2i .. 2n - 1 are live: lanes below 2(n - i) of the pair.
+    const __m256i ids01 = _mm256_set_epi64x(3, 2, 1, 0);
+    const __m256i ids23 = _mm256_set_epi64x(7, 6, 5, 4);
+    const __m256i live =
+        _mm256_set1_epi64x(static_cast<long long>(2 * (n - i)));
+    const __m256i m01 = _mm256_cmpgt_epi64(live, ids01);
+    const __m256i m23 = _mm256_cmpgt_epi64(live, ids23);
+    __m256d acc01 = _mm256_maskload_pd(d + 2 * i, m01);
+    __m256d acc23 = _mm256_maskload_pd(d + 2 * i + 4, m23);
+#pragma GCC unroll 4
+    for (std::size_t c = 0; c < K; ++c) {
+      acc01 = _mm256_add_pd(acc01, p01[c]);
+      acc23 = _mm256_add_pd(acc23, p23[c]);
+    }
+    _mm256_maskstore_pd(d + 2 * i, m01, acc01);
+    _mm256_maskstore_pd(d + 2 * i + 4, m23, acc23);
   }
+}
+
+}  // namespace
+
+void toneAccumChainsAvx2(Complex* dst, std::size_t n, const ToneChain* chains,
+                         std::size_t count) {
+  // The chain starts come from the baseline TU (toneChain): computed
+  // here, GCC would fuse their complex products.
+  double* d = reinterpret_cast<double*>(dst);
+  std::size_t c = 0;
+  for (; c + 3 <= count; c += 3) toneChainGroup<3>(d, n, chains + c);
+  if (count - c == 2) toneChainGroup<2>(d, n, chains + c);
+  if (count - c == 1) toneChainGroup<1>(d, n, chains + c);
 }
 
 namespace {

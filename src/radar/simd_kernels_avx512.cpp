@@ -21,27 +21,59 @@
 
 namespace rfp::radar::detail {
 
-void toneAccumAvx512(Complex* dst, std::size_t n, Complex phasor,
-                     Complex rot) {
-  // Prologue from the baseline TU, as in toneAccumAvx2.
-  const ToneLanes lanes = toneLanes(phasor, rot);
-  __m512d pv = _mm512_loadu_pd(reinterpret_cast<const double*>(lanes.p));
-  const __m512d rre = _mm512_set1_pd(lanes.rot4.real());
-  const __m512d rim = _mm512_set1_pd(lanes.rot4.imag());
-  double* d = reinterpret_cast<double*>(dst);
+namespace {
+
+/// K chains over dst[0, n), each in one zmm of four lanes with its step
+/// broadcast into two more: 3K + 2 of the 32 registers at K = 8. Per
+/// four-sample block the accumulator takes the chains in list order,
+/// then each chain steps by the fma_complex.h pattern; the last n % 4
+/// samples run the same adds in one masked block.
+template <std::size_t K>
+void toneChainGroup(double* d, std::size_t n, const ToneChain* chains) {
+  __m512d p[K], rre[K], rim[K];
+#pragma GCC unroll 8
+  for (std::size_t c = 0; c < K; ++c) {
+    p[c] = _mm512_loadu_pd(reinterpret_cast<const double*>(chains[c].p));
+    rre[c] = _mm512_set1_pd(chains[c].step.real());
+    rim[c] = _mm512_set1_pd(chains[c].step.imag());
+  }
   const std::size_t n4 = n & ~std::size_t{3};
   std::size_t i = 0;
   for (; i < n4; i += 4) {
-    _mm512_storeu_pd(d + 2 * i,
-                     _mm512_add_pd(_mm512_loadu_pd(d + 2 * i), pv));
-    const __m512d t = _mm512_mul_pd(_mm512_permute_pd(pv, 0x55), rim);
-    pv = _mm512_fmaddsub_pd(pv, rre, t);
+    __m512d acc = _mm512_loadu_pd(d + 2 * i);
+#pragma GCC unroll 8
+    for (std::size_t c = 0; c < K; ++c) {
+      acc = _mm512_add_pd(acc, p[c]);
+      const __m512d t = _mm512_mul_pd(_mm512_permute_pd(p[c], 0x55), rim[c]);
+      p[c] = _mm512_fmaddsub_pd(p[c], rre[c], t);
+    }
+    _mm512_storeu_pd(d + 2 * i, acc);
   }
-  alignas(64) double tail[8];
-  _mm512_store_pd(tail, pv);
-  for (std::size_t j = 0; i + j < n; ++j) {
-    double* dj = d + 2 * (i + j);
-    _mm_storeu_pd(dj, _mm_add_pd(_mm_loadu_pd(dj), _mm_load_pd(tail + 2 * j)));
+  if (i < n) {
+    const __mmask8 m = static_cast<__mmask8>((1u << (2 * (n - i))) - 1u);
+    __m512d acc = _mm512_maskz_loadu_pd(m, d + 2 * i);
+#pragma GCC unroll 8
+    for (std::size_t c = 0; c < K; ++c) acc = _mm512_add_pd(acc, p[c]);
+    _mm512_mask_storeu_pd(d + 2 * i, m, acc);
+  }
+}
+
+using GroupFn = void (*)(double*, std::size_t, const ToneChain*);
+constexpr GroupFn kGroups[] = {
+    &toneChainGroup<1>, &toneChainGroup<2>, &toneChainGroup<3>,
+    &toneChainGroup<4>, &toneChainGroup<5>, &toneChainGroup<6>,
+    &toneChainGroup<7>, &toneChainGroup<8>};
+
+}  // namespace
+
+void toneAccumChainsAvx512(Complex* dst, std::size_t n,
+                           const ToneChain* chains, std::size_t count) {
+  // The chain starts come from the baseline TU (toneChain): computed
+  // here, GCC would fuse their complex products.
+  constexpr std::size_t kGroup = 8;
+  double* d = reinterpret_cast<double*>(dst);
+  for (std::size_t c = 0; c < count; c += kGroup) {
+    kGroups[std::min(kGroup, count - c) - 1](d, n, chains + c);
   }
 }
 

@@ -282,7 +282,7 @@ void FleetEngine::ensureJob(Slot& slot) {
   // Lazy construction inside the containment boundary: a poison
   // scenario file FAILs here with the loader's source:line message.
   auto job = makeSpoofScenarioJob(slot.scenarioText, slot.name, slot.jobSeed,
-                                  config_.epochFrames, config_.sceneCache);
+                                  config_.epochFrames);
   if (!slot.chaos.empty()) {
     job = makeFaultableJob(std::move(job), slot.chaos);
   }
@@ -778,12 +778,8 @@ std::uint64_t FleetEngine::reExecuteSlots(
     Slot* slot = work[i].first;
     const std::uint64_t target = work[i].second;
     try {
-      // Replay always bypasses the scene cache (and the job keeps running
-      // cache-free afterwards): the recovered ledger's byte-identity to an
-      // uninterrupted run provably cannot depend on memoized radar state.
       auto job = makeSpoofScenarioJob(slot->scenarioText, slot->name,
-                                      slot->jobSeed, config_.epochFrames,
-                                      /*sceneCache=*/false);
+                                      slot->jobSeed, config_.epochFrames);
       if (!slot->chaos.empty()) {
         job = makeFaultableJob(std::move(job), slot->chaos);
       }
@@ -968,10 +964,6 @@ void FleetEngine::recoverFromDir() {
     }
   }
   rep.reExecutedEpochs = reExecuteSlots(work);
-  if (!work.empty()) {
-    story += "re-execution bypassed the scene cache (" +
-             std::to_string(rep.reExecutedEpochs) + " epochs cache-free); ";
-  }
   for (const auto& w : work) {
     if (!w.first->stagedReason.empty()) {
       story += "scenario " + std::to_string(w.first->id) + ": " +

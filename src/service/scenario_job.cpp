@@ -22,7 +22,7 @@ class SpoofScenarioJob : public ScenarioJob {
  public:
   SpoofScenarioJob(const std::string& scenarioText,
                    const std::string& sourceName, std::uint64_t seed,
-                   std::size_t epochFrames, bool sceneCache)
+                   std::size_t epochFrames)
       : epochFrames_(epochFrames),
         rng_(seed),
         scenario_(loadFrom(scenarioText, sourceName)) {
@@ -39,8 +39,7 @@ class SpoofScenarioJob : public ScenarioJob {
     const int ghostId =
         system_->addGhostAuto(trace, start, scenario_.plan, rng_);
     runner_ = std::make_unique<core::SpoofEpochRunner>(
-        scenario_, *system_, ghostId, start, rng_, /*schedule=*/nullptr,
-        sceneCache);
+        scenario_, *system_, ghostId, start, rng_);
   }
 
   bool done() const override { return runner_->done(); }
@@ -133,9 +132,9 @@ class FaultableJob : public ScenarioJob {
 
 std::unique_ptr<ScenarioJob> makeSpoofScenarioJob(
     const std::string& scenarioText, const std::string& sourceName,
-    std::uint64_t seed, std::size_t epochFrames, bool sceneCache) {
+    std::uint64_t seed, std::size_t epochFrames) {
   return std::make_unique<SpoofScenarioJob>(scenarioText, sourceName, seed,
-                                            epochFrames, sceneCache);
+                                            epochFrames);
 }
 
 std::unique_ptr<ScenarioJob> makeFaultableJob(

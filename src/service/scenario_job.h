@@ -106,12 +106,9 @@ class ScenarioJob {
 /// scenarioText is the key = value scenario format of scenario_config.h;
 /// malformed or semantically invalid text throws the loader's
 /// source:line diagnostic, which the engine records as the FAILED reason.
-/// \p sceneCache enables the eavesdropper stack's beat-tone memoization
-/// (bit-identical either way; the recovery replay path passes false so a
-/// replayed shard's ledger provably cannot depend on cache state).
 std::unique_ptr<ScenarioJob> makeSpoofScenarioJob(
     const std::string& scenarioText, const std::string& sourceName,
-    std::uint64_t seed, std::size_t epochFrames, bool sceneCache = true);
+    std::uint64_t seed, std::size_t epochFrames);
 
 /// Wraps \p inner with a scripted chaos timeline: at each scripted epoch
 /// the wrapper misbehaves (throws, spins against the work budget, or

@@ -84,13 +84,6 @@ struct FleetServiceConfig {
   /// and its (deterministic) admission id.
   std::uint64_t seed = 1;
 
-  /// Per-scenario incremental scene caching: memoizes each scatterer's
-  /// per-antenna beat-tone contribution across frames inside every
-  /// scenario instance (radar::SceneCache). Bit-identical either way;
-  /// recovery re-execution always bypasses the cache and records that in
-  /// the recovery report. RFP_SCENE_CACHE=0 force-disables process-wide.
-  bool sceneCache = true;
-
   /// Crash-safety layer (journal + snapshots); disabled by default.
   DurabilityConfig durability;
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace rfp::signal {
@@ -38,6 +39,10 @@ struct FftPlan {
   std::vector<Complex> twiddles;
   /// bitReverse[i] = i with its log2(n) bits reversed.
   std::vector<std::uint32_t> bitReverse;
+  /// The pairs (i, bitReverse[i]) with i < bitReverse[i], ascending in i:
+  /// the swaps that put data in bit-reversed order, without a branch per
+  /// index.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps;
 };
 
 /// The plan for length \p n, from a process-wide LRU cache: built once

@@ -337,9 +337,9 @@ TEST(KernelGemm, CrossRegimeDifferenceWithinDocumentedBound) {
 // FFT butterflies: drive fft() at each level against a local oracle
 // built from the scalar stage passes, plus cross-regime tolerance.
 
-std::vector<Complex> fftOracle(std::vector<Complex> a,
-                               signal::detail::StagePassFn pass,
-                               bool forward) {
+/// \p a in bit-reversed order, by the incremental reversed counter:
+/// independent of the plan's tables.
+std::vector<Complex> bitReversed(std::vector<Complex> a) {
   const std::size_t n = a.size();
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
@@ -347,6 +347,14 @@ std::vector<Complex> fftOracle(std::vector<Complex> a,
     j ^= bit;
     if (i < j) std::swap(a[i], a[j]);
   }
+  return a;
+}
+
+std::vector<Complex> fftOracle(std::vector<Complex> a,
+                               signal::detail::StagePassFn pass,
+                               bool forward) {
+  const std::size_t n = a.size();
+  a = bitReversed(std::move(a));
   if (n < 2) return a;
   const auto plan = signal::fftPlanFor(n);
   for (std::size_t len = 2; len <= n; len <<= 1) {
@@ -385,6 +393,13 @@ TEST(KernelFft, EveryLevelBitIdenticalToItsReferencePass) {
   LevelGuard guard;
   for (std::size_t n : fftSizes(4096)) {
     for (const std::vector<Complex>& input : fftInputs(n, 1000 + n)) {
+      // The plan's swap list, which the transforms apply, puts the input
+      // in the oracle's bit-reversed order.
+      std::vector<Complex> swapped = input;
+      for (const auto& [i, j] : signal::fftPlanFor(n)->swaps) {
+        std::swap(swapped[i], swapped[j]);
+      }
+      EXPECT_TRUE(bitIdentical(swapped, bitReversed(input))) << "n=" << n;
       for (KernelLevel level : simd::availableKernelLevels()) {
         simd::setActiveKernelLevel(level);
         const std::vector<Complex> out = signal::fft(input, n);
@@ -505,8 +520,82 @@ TEST(KernelFft, CrossRegimeDifferenceWithinDocumentedBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Tone synthesis: each level's kernel memcmp-matches its scalar
-// reference over sizes straddling the four-lane split.
+// Tone synthesis: toneChain plus each level's chains kernel memcmp-matches
+// the level's single-tone recurrence, and the chains kernel matches the
+// level's single-chain loop run chain after chain.
+
+using radar::detail::ToneChain;
+
+/// Bit equality, except that two NaNs may differ in their sign bit. The
+/// vector kernels compute the product's real part with vfmsub (and the FFT
+/// passes with vfmaddsub), which passes a NaN subtrahend through with its
+/// sign, while the std::fma references negate it first; every other bit
+/// of every cell, and whether a cell is NaN at all, is the same.
+bool sameBitsUpToNaNSign(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto x = std::bit_cast<std::uint64_t>(a[i]);
+    const auto y = std::bit_cast<std::uint64_t>(b[i]);
+    const bool nans = std::isnan(a[i]) && std::isnan(b[i]);
+    if (nans ? (x | kSign) != (y | kSign) : x != y) return false;
+  }
+  return true;
+}
+
+bool sameBitsUpToNaNSign(const std::vector<Complex>& a,
+                         const std::vector<Complex>& b) {
+  const auto parts = [](const std::vector<Complex>& v) {
+    std::vector<double> out;
+    for (const Complex& c : v) {
+      out.push_back(c.real());
+      out.push_back(c.imag());
+    }
+    return out;
+  };
+  return sameBitsUpToNaNSign(parts(a), parts(b));
+}
+
+
+/// The single-tone recurrence of each regime, written out: at sse2
+/// dst[i] += phasor, phasor *= rot; at the FMA levels four lanes started
+/// by plain std::complex products (this TU has no -mfma) and stepped by
+/// fmaComplexMul(p, rot^4), the last n % 4 samples taking the leading
+/// lanes.
+void toneOracle(KernelLevel level, Complex* dst, std::size_t n,
+                Complex phasor, Complex rot) {
+  if (level == KernelLevel::kSse2) {
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] += phasor;
+      phasor *= rot;
+    }
+    return;
+  }
+  const Complex rot2 = rot * rot;
+  const Complex rot4 = rot2 * rot2;
+  Complex p[4] = {phasor, phasor * rot, phasor * rot2, (phasor * rot) * rot2};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (int j = 0; j < 4; ++j) dst[i + j] += p[j];
+    for (int j = 0; j < 4; ++j) p[j] = simd::fmaComplexMul(p[j], rot4);
+  }
+  for (std::size_t j = 0; i + j < n; ++j) dst[i + j] += p[j];
+}
+
+/// The level's single-chain loop: the reference the chains kernel is
+/// memcmp-compared against, one chain per call, in list order.
+radar::detail::ToneAccumChainsFn singleChainLoop(KernelLevel level) {
+  return level == KernelLevel::kSse2 ? &radar::detail::toneAccumChainsScalar
+                                     : &radar::detail::toneAccumChainsFmaRef;
+}
+
+void chainsInListOrder(KernelLevel level, Complex* dst, std::size_t n,
+                       const std::vector<ToneChain>& chains) {
+  for (const ToneChain& chain : chains) {
+    singleChainLoop(level)(dst, n, &chain, 1);
+  }
+}
 
 TEST(KernelTone, EveryLevelBitIdenticalToItsReference) {
   const Complex phasor = std::polar(0.37, 1.1);
@@ -515,26 +604,23 @@ TEST(KernelTone, EveryLevelBitIdenticalToItsReference) {
                         33ul, 257ul, 500ul}) {
     const std::vector<Complex> init = randomComplex(n, 3000 + n);
     for (KernelLevel level : simd::availableKernelLevels()) {
-      const radar::detail::ToneAccumFn fn =
-          radar::detail::toneAccumForLevel(level);
-      const radar::detail::ToneAccumFn refFn =
-          level == KernelLevel::kSse2 ? &radar::detail::toneAccumScalar
-                                      : &radar::detail::toneAccumFmaRef;
+      const ToneChain chain = radar::detail::toneChain(level, phasor, rot);
       std::vector<Complex> out = init;
       std::vector<Complex> ref = init;
-      fn(out.data(), n, phasor, rot);
-      refFn(ref.data(), n, phasor, rot);
+      radar::detail::toneAccumChainsForLevel(level)(out.data(), n, &chain, 1);
+      toneOracle(level, ref.data(), n, phasor, rot);
       EXPECT_TRUE(bitIdentical(out, ref))
           << "level=" << simd::kernelLevelName(level) << " n=" << n;
     }
   }
 }
 
-// The FMA regime's lane prologue (toneLanes) must round the same way in
-// every implementation. One fixed pair cannot show that: GCC's vectorized
-// complex multiply agrees with the plain product on many inputs. 1,000
-// random (phasor, rot) pairs, each over sizes inside the first four-lane
-// step, one step with and without a tail, and the paper radar's 500.
+// The FMA regime's chain prologue (toneChain) must round the same way as
+// the plain std::complex products. One fixed pair cannot show that: GCC's
+// vectorized complex multiply agrees with the plain product on many
+// inputs. 1,000 random (phasor, rot) pairs, each over sizes inside the
+// first four-lane step, one step with and without a tail, and the paper
+// radar's 500.
 TEST(KernelTone, RandomPairsEveryLevelBitIdenticalToItsReference) {
   common::Rng rng(4242);
   const double pi = std::acos(-1.0);
@@ -544,16 +630,102 @@ TEST(KernelTone, RandomPairsEveryLevelBitIdenticalToItsReference) {
     for (std::size_t n : {1ul, 2ul, 3ul, 4ul, 5ul, 8ul, 500ul}) {
       const std::vector<Complex> init = randomComplex(n, 9000 + n);
       for (KernelLevel level : simd::availableKernelLevels()) {
-        const radar::detail::ToneAccumFn refFn =
-            level == KernelLevel::kSse2 ? &radar::detail::toneAccumScalar
-                                        : &radar::detail::toneAccumFmaRef;
+        const ToneChain chain = radar::detail::toneChain(level, phasor, rot);
         std::vector<Complex> out = init;
         std::vector<Complex> ref = init;
-        radar::detail::toneAccumForLevel(level)(out.data(), n, phasor, rot);
-        refFn(ref.data(), n, phasor, rot);
+        radar::detail::toneAccumChainsForLevel(level)(out.data(), n, &chain,
+                                                      1);
+        toneOracle(level, ref.data(), n, phasor, rot);
         ASSERT_TRUE(bitIdentical(out, ref))
             << "level=" << simd::kernelLevelName(level) << " pair=" << pair
             << " n=" << n << " phasor=" << phasor << " rot=" << rot;
+      }
+    }
+  }
+}
+
+/// \p count chains of \p level with random unit-circle steps.
+std::vector<ToneChain> randomChains(KernelLevel level, std::size_t count,
+                                    common::Rng& rng) {
+  const double pi = std::acos(-1.0);
+  std::vector<ToneChain> chains(count);
+  for (ToneChain& chain : chains) {
+    const Complex phasor(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    chain = radar::detail::toneChain(level, phasor,
+                                     std::polar(1.0, rng.uniform(-pi, pi)));
+  }
+  return chains;
+}
+
+// Counts 0-20 cover K - 1, K, K + 1 and 2K + 1 at every level (K = 3 at
+// avx2_fma, 8 at avx512); the sizes cover every masked tail, one and
+// several four-sample blocks, and the paper radar's 500. Four random
+// chain sets per (count, n): 1,092 in all. Eight signaling-NaN sentinels
+// past each row prove the masked tail touches nothing beyond n: a stray
+// load-add-store would quiet them.
+TEST(KernelToneChains, EveryLevelMatchesItsSingleChainLoopInListOrder) {
+  constexpr std::size_t kSentinels = 8;
+  const double snan = std::numeric_limits<double>::signaling_NaN();
+  common::Rng rng(7117);
+  for (std::size_t count = 0; count <= 20; ++count) {
+    for (std::size_t n : {1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul, 15ul,
+                          16ul, 17ul, 500ul}) {
+      for (int set = 0; set < 4; ++set) {
+        std::vector<Complex> init =
+            randomComplex(n, 17 * count + 1000 * n + set);
+        init.resize(n + kSentinels, Complex(snan, snan));
+        for (KernelLevel level : simd::availableKernelLevels()) {
+          const std::vector<ToneChain> chains =
+              randomChains(level, count, rng);
+          std::vector<Complex> out = init;
+          std::vector<Complex> ref = init;
+          radar::detail::toneAccumChainsForLevel(level)(out.data(), n,
+                                                        chains.data(), count);
+          chainsInListOrder(level, ref.data(), n, chains);
+          ASSERT_TRUE(bitIdentical(out, ref))
+              << "level=" << simd::kernelLevelName(level)
+              << " count=" << count << " n=" << n << " set=" << set;
+        }
+      }
+    }
+  }
+}
+
+// NaN and infinite chain values pass through every chain as in the
+// single-chain loop (the vector kernels up to a NaN's sign, as in the
+// beamforming rows), and a row of zeros of random sign gets the loop's
+// signed zeros, from chains of random values and from chains of -0.
+TEST(KernelToneChains, NonFiniteChainsAndSignedZeroRowsMatchTheLoop) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  common::Rng rng(8118);
+  for (std::size_t count : {1ul, 3ul, 4ul, 8ul, 9ul, 17ul}) {
+    for (std::size_t n : {1ul, 3ul, 5ul, 8ul, 17ul}) {
+      std::vector<Complex> zeros = randomComplex(n, 50 * count + n);
+      for (Complex& z : zeros) {
+        z = {std::copysign(0.0, z.real()), std::copysign(0.0, z.imag())};
+      }
+      for (KernelLevel level : simd::availableKernelLevels()) {
+        std::vector<ToneChain> special = randomChains(level, count, rng);
+        special[0].p[0] = {nan, 0.5};
+        special[count / 2].p[1] = {inf, -inf};
+        special[count - 1].step = {-inf, 0.25};
+        std::vector<ToneChain> negativeZeros(count);
+        for (ToneChain& chain : negativeZeros) {
+          for (Complex& p : chain.p) p = {-0.0, -0.0};
+          chain.step = {1.0, 0.0};
+        }
+        for (const std::vector<ToneChain>* set : {&special, &negativeZeros}) {
+          std::vector<Complex> out = zeros;
+          std::vector<Complex> ref = zeros;
+          radar::detail::toneAccumChainsForLevel(level)(out.data(), n,
+                                                        set->data(), count);
+          chainsInListOrder(level, ref.data(), n, *set);
+          ASSERT_TRUE(sameBitsUpToNaNSign(out, ref))
+              << "level=" << simd::kernelLevelName(level)
+              << " count=" << count << " n=" << n
+              << " negative zeros=" << (set == &negativeZeros);
+        }
       }
     }
   }
@@ -564,8 +736,12 @@ TEST(KernelTone, CrossRegimeDifferenceWithinDocumentedBound) {
   const Complex rot = std::polar(1.0, 0.031);
   const std::size_t n = 500;
   std::vector<Complex> scalar(n), fmaRef(n);
-  radar::detail::toneAccumScalar(scalar.data(), n, phasor, rot);
-  radar::detail::toneAccumFmaRef(fmaRef.data(), n, phasor, rot);
+  const ToneChain sse2 =
+      radar::detail::toneChain(KernelLevel::kSse2, phasor, rot);
+  const ToneChain fma =
+      radar::detail::toneChain(KernelLevel::kAvx2Fma, phasor, rot);
+  radar::detail::toneAccumChainsScalar(scalar.data(), n, &sse2, 1);
+  radar::detail::toneAccumChainsFmaRef(fmaRef.data(), n, &fma, 1);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(withinTol(scalar[i], fmaRef[i], kKernelTol))
         << "tone cross-regime drift exceeds the documented bound "
@@ -637,24 +813,6 @@ std::vector<Complex> steeringLike(std::size_t nAngles, std::size_t nAnt,
   std::vector<Complex> w = randomComplex(nAngles * nAnt, seed);
   for (std::size_t a = 0; a < nAngles; ++a) w[a * nAnt] = {1.0, 0.0};
   return w;
-}
-
-/// Bit equality, except that two NaNs may differ in their sign bit. The
-/// vector kernels compute the product's real part with vfmsub (and the FFT
-/// passes with vfmaddsub), which passes a NaN subtrahend through with its
-/// sign, while the std::fma references negate it first; every other bit
-/// of every cell, and whether a cell is NaN at all, is the same.
-bool sameBitsUpToNaNSign(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto x = std::bit_cast<std::uint64_t>(a[i]);
-    const auto y = std::bit_cast<std::uint64_t>(b[i]);
-    const bool nans = std::isnan(a[i]) && std::isnan(b[i]);
-    if (nans ? (x | kSign) != (y | kSign) : x != y) return false;
-  }
-  return true;
 }
 
 /// Runs every function of \p level's rows family (the kernel and the

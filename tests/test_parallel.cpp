@@ -332,6 +332,16 @@ TEST(Caches, TwiddleTablesAreSharedPerSizeAndDistinctAcrossSizes) {
   EXPECT_EQ(a->bitReverse[6], 24u);
   EXPECT_EQ(a->bitReverse[63], 63u);
 
+  // The swap list is every pair (i, rev[i]) with i < rev[i], ascending.
+  for (const auto& plan : {a, c}) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> want;
+    for (std::uint32_t i = 0; i < plan->n; ++i) {
+      if (i < plan->bitReverse[i]) want.emplace_back(i, plan->bitReverse[i]);
+    }
+    EXPECT_EQ(plan->swaps, want) << "n=" << plan->n;
+  }
+  EXPECT_EQ(a->swaps.size(), 28u);  // 64 - 8 palindromes, halved
+
   // A cached transform still matches the analytic DFT of an impulse.
   std::vector<signal::Complex> impulse(64, signal::Complex{});
   impulse[1] = 1.0;
