@@ -27,7 +27,14 @@ quartiles but not for the wins), and a verdict against the metric's
 - within bound: otherwise.
 
 A last line per workload says whether `output_digest` matched at every
-paired seed. Standard library only.
+paired seed.
+
+Each workload also prints each side's provenance: the `git_commit`,
+`kernel_level` and `hardware_concurrency` values its runs record. It
+warns when the two sides share a commit (a change measured before it
+was committed records its parent's), or when their kernel levels or
+core counts differ. A warning leaves the exit status alone. Standard
+library only.
 """
 
 import json
@@ -66,6 +73,29 @@ def failures(runs):
     return attempted, failed, failed / attempted if attempted else 0.0
 
 
+PROVENANCE = ("git_commit", "kernel_level", "hardware_concurrency")
+
+
+def provenance(runs):
+    """{key: sorted distinct values} of PROVENANCE over the runs."""
+    return {key: sorted({str(r.get("provenance", {}).get(key))
+                         for r in runs.values()})
+            for key in PROVENANCE}
+
+
+def provenance_warnings(before, after):
+    """Lines warning about a shared commit or a differing level or host."""
+    warnings = []
+    shared = sorted(set(before["git_commit"]) & set(after["git_commit"]))
+    if shared:
+        warnings.append("both sides carry commit " + ", ".join(shared))
+    for key in PROVENANCE[1:]:
+        if before[key] != after[key]:
+            warnings.append(f"{key} differs: parent {', '.join(before[key])}"
+                            f", change {', '.join(after[key])}")
+    return warnings
+
+
 def verdict(old, new, wins, paired, spread, delta, sign, bound,
             failed_old, failed_new):
     """The metric's verdict; see the module docstring. failed_old and
@@ -97,6 +127,12 @@ def compare(parent, change, metrics):
                   f"failed share {shares[side]:.3g}")
         if not before or not after:
             continue
+        origin = {"parent": provenance(before), "change": provenance(after)}
+        for side, values in origin.items():
+            print(f"  {side}: " + "; ".join(
+                f"{key} {', '.join(values[key])}" for key in PROVENANCE))
+        for line in provenance_warnings(origin["parent"], origin["change"]):
+            print(f"  WARNING: {line}")
         print(f"  {'metric':<22} {'parent q1 / median / q3':>29} "
               f"{'change q1 / median / q3':>29} {'IQR/med':>8} "
               f"{'delta':>8} {'wins':>6}  verdict")

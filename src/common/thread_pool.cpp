@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -172,25 +173,35 @@ std::unique_ptr<ThreadPool>& globalSlot() {
   return pool;
 }
 
-std::mutex& globalMutex() {
-  static std::mutex m;
-  return m;
-}
+/// The global pool's mutex, held to create or replace it.
+constinit std::mutex globalMutex;
+
+/// The pool globalSlot() owns, published after it is built: readers take
+/// one acquire load and no lock.
+constinit std::atomic<ThreadPool*> globalPool{nullptr};
 
 }  // namespace
 
 ThreadPool& ThreadPool::global() {
-  std::lock_guard<std::mutex> lock(globalMutex());
+  if (ThreadPool* pool = globalPool.load(std::memory_order_acquire)) {
+    return *pool;
+  }
+  std::lock_guard<std::mutex> lock(globalMutex);
   auto& slot = globalSlot();
-  if (!slot) slot = std::make_unique<ThreadPool>();
+  if (!slot) {
+    slot = std::make_unique<ThreadPool>();
+    globalPool.store(slot.get(), std::memory_order_release);
+  }
   return *slot;
 }
 
 void ThreadPool::setGlobalThreads(std::size_t threads) {
-  std::lock_guard<std::mutex> lock(globalMutex());
+  std::lock_guard<std::mutex> lock(globalMutex);
   auto& slot = globalSlot();
+  globalPool.store(nullptr, std::memory_order_release);
   slot.reset();  // join the old pool before spawning the new one
   slot = std::make_unique<ThreadPool>(threads);
+  globalPool.store(slot.get(), std::memory_order_release);
 }
 
 }  // namespace rfp::common

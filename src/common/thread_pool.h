@@ -90,7 +90,8 @@ class ThreadPool {
   static std::size_t resolveThreadCount();
 
   /// Process-wide pool shared by the simulation hot paths. Created on
-  /// first use with resolveThreadCount() workers.
+  /// first use with resolveThreadCount() workers; concurrent first calls
+  /// see one pool. After that a call is one atomic load, no lock.
   static ThreadPool& global();
 
   /// Replaces the global pool with one of \p threads workers (0 =

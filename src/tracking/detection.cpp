@@ -47,16 +47,20 @@ double medianByCopy(const double* p, std::size_t n, std::vector<double>& buf) {
   return buf[mid];
 }
 
-/// One radix step's histogram: counts the \p n cells at \p p in 256
-/// slices of 2^shift patterns from \p lo (every cell must fall in one)
-/// and returns the slice holding rank \p k and the count of cells in the
-/// slices below it. Four sub-histograms keep neighbouring cells, which
-/// are correlated, off one counter; 32-bit counts, because a lane of a
-/// map with 2^18 or more cells can overflow 16 bits.
-std::pair<std::uint64_t, std::size_t> sliceOfRank(const double* p,
-                                                  std::size_t n,
-                                                  std::uint64_t lo, int shift,
-                                                  std::size_t k) {
+/// Cells in a radix step's strided sample, and the sample ranks its
+/// bracket spans on either side of the target's: three standard
+/// deviations of the sample median's rank (sqrt(1024) / 2 = 16).
+constexpr std::size_t kSampleCells = 1024;
+constexpr std::size_t kSampleDelta = 48;
+
+/// The slices of 2^shift patterns from \p lo holding ranks \p rLo <= \p rHi
+/// of the \p n cells at \p p (every cell must fall in one of 256 slices).
+/// Four sub-histograms keep neighbouring cells, which are correlated, off
+/// one counter; 32-bit counts, because a lane of a map with 2^18 or more
+/// cells can overflow 16 bits.
+std::pair<std::uint64_t, std::uint64_t> slicesOfRanks(
+    const double* p, std::size_t n, std::uint64_t lo, int shift,
+    std::size_t rLo, std::size_t rHi) {
   constexpr std::size_t kLanes = 4;
   constexpr std::size_t kSlices = 256;
   std::uint32_t hist[kLanes][kSlices] = {};
@@ -68,65 +72,108 @@ std::pair<std::uint64_t, std::size_t> sliceOfRank(const double* p,
     for (std::size_t l = 0; l < kLanes; ++l) ++hist[l][sliceOf(i + l)];
   }
   for (std::size_t i = body; i < n; ++i) ++hist[0][sliceOf(i)];
-  std::size_t below = 0;
+  const auto count = [&](std::uint64_t slice) {
+    return std::size_t{hist[0][slice]} + hist[1][slice] + hist[2][slice] +
+           hist[3][slice];
+  };
+  std::size_t seen = 0;  // cells in the slices below `slice`
   std::uint64_t slice = 0;
-  for (;; ++slice) {
-    const std::size_t count = std::size_t{hist[0][slice]} + hist[1][slice] +
-                              hist[2][slice] + hist[3][slice];
-    if (below + count > k) break;
-    below += count;
-  }
-  return {slice, below};
+  while (seen + count(slice) <= rLo) seen += count(slice++);
+  const std::uint64_t first = slice;
+  while (seen + count(slice) <= rHi) seen += count(slice++);
+  return {first, slice};
 }
 
 /// medianByCopy() of the rows x cols cells at \p p without sorting them,
 /// by a radix select on their bit patterns; also writes each row's
 /// largest pattern to \p rowMax. When every cell lies in [+0.0, +inf],
 /// equal cells have equal bits and cells order like their bits, so the
-/// rank-n/2 bit pattern is the value medianByCopy() returns. The min/max
-/// pass fixes the pattern range; each radix step then histograms the
-/// range into 256 slices and compacts the slice holding the rank into
-/// \p band, the first from the map and the rest in place on the band,
-/// each narrowing the range 256-fold, until at most 64 cells are left for
-/// nth_element. Falls back to medianByCopy() for maps with a NaN cell or
-/// a cell whose sign bit is set (negative or -0.0), where bit order and
-/// value order part ways, and then sets every row maximum to +inf: no
-/// threshold sweep may skip a row of such a map.
+/// rank-n/2 bit pattern is the value medianByCopy() returns.
+///
+/// Each radix step brackets the rank from a sample of its m cells: 1,024
+/// at stride m / 1,024 from stride / 2, or, below 2,048 cells, the cells
+/// themselves. A 256-slice histogram of the sample over the step's
+/// pattern range (the sample's own on the first step, the previous
+/// bracket after that) gives the slices holding the sample ranks
+/// kSampleDelta either side of the target's (the target's alone when the
+/// sample is every cell), and one scanRows pass counts the cells below
+/// that bracket and copies those inside it, in order, to the band buffer,
+/// in place after the first step; the first also writes the row maxima.
+/// The counts are exact, so a bracket that misses the rank is caught, and
+/// the selection then falls back to medianByCopy(): a bad sample costs
+/// time, never bits. The steps repeat on the band until at most 64 cells
+/// are left, the slices are single patterns, or a step drops no cell,
+/// and nth_element selects among the rest. Falls back to medianByCopy()
+/// for maps with a NaN cell or a cell whose sign bit is set (negative or
+/// -0.0), where bit order and value order part ways, and then sets every
+/// row maximum to +inf: no threshold sweep may skip a row of such a map.
 double medianCell(const double* p, std::size_t rows, std::size_t cols,
                   const detail::MapScanKernels& kernels,
-                  std::vector<double>& band, std::uint64_t* rowMax) {
+                  DetectScratch& scratch, std::uint64_t* rowMax) {
   const std::size_t n = rows * cols;
   if (n == 0) return 0.0;
-  const detail::BitRange range = kernels.minMaxRows(p, rows, cols, rowMax);
-  if (range.hi > kInfBits) {
-    std::fill(rowMax, rowMax + rows, kInfBits);
-    return medianByCopy(p, n, band);
-  }
-  if (range.lo == range.hi) return p[0];
-
+  ++scratch.maps;
   constexpr int kSliceBits = 8;
   constexpr std::size_t kNthElementCells = 64;
-  int shift = std::max(
-      0, static_cast<int>(std::bit_width(range.hi - range.lo)) - kSliceBits);
-  std::uint64_t lo = range.lo;
-  std::size_t k = n / 2;
-  band.resize(n);
-  const double* cells = p;
+  scratch.cells.resize(n);
+  scratch.sample.resize(kSampleCells);
+  double* band = scratch.cells.data();
+  const double* cells = p;  // the step's m cells, rows x cols on the first
   std::size_t m = n;
-  for (;;) {
-    const auto [slice, below] = sliceOfRank(cells, m, lo, shift, k);
-    k -= below;
-    lo += slice << shift;
-    m = kernels.compactSlice(cells, m, lo, std::uint64_t{1} << shift,
-                             band.data());
-    cells = band.data();
-    if (m <= kNthElementCells || shift == 0) break;
-    shift = std::max(0, shift - kSliceBits);
+  std::size_t k = n / 2;
+  std::uint64_t lo = 0;  // the step's pattern range [lo, hi]
+  std::uint64_t hi = 0;
+  for (bool first = true;; first = false) {
+    const std::size_t stride = m < 2 * kSampleCells ? 1 : m / kSampleCells;
+    const double* sample = cells;
+    std::size_t s = m;
+    std::size_t t = k;  // the target's rank in the sample
+    if (stride > 1) {
+      for (std::size_t j = 0, i = stride / 2; j < kSampleCells;
+           ++j, i += stride) {
+        scratch.sample[j] = cells[i];
+      }
+      sample = scratch.sample.data();
+      s = kSampleCells;
+      t = k * kSampleCells / m;
+    }
+    if (first) {
+      std::uint64_t sampleTop = 0;
+      const detail::BitRange range =
+          kernels.minMaxRows(sample, 1, s, &sampleTop);
+      lo = range.lo;
+      hi = range.hi;
+    }
+    const int shift = std::max(
+        0, static_cast<int>(std::bit_width(hi - lo)) - kSliceBits);
+    const std::size_t delta = stride > 1 ? kSampleDelta : 0;
+    const auto [a, b] = slicesOfRanks(sample, s, lo, shift,
+                                      t > delta ? t - delta : 0,
+                                      std::min(t + delta, s - 1));
+    const std::uint64_t bracketLo = lo + (a << shift);
+    const std::uint64_t width = (b - a + 1) << shift;
+    const detail::RowScan scan =
+        kernels.scanRows(cells, first ? rows : 1, first ? cols : m, bracketLo,
+                         width, band, first ? rowMax : nullptr);
+    if (first && scan.range.hi > kInfBits) {
+      std::fill(rowMax, rowMax + rows, kInfBits);
+      return medianByCopy(p, n, scratch.cells);
+    }
+    if (first && scan.range.lo == scan.range.hi) return p[0];
+    if (!(scan.below <= k && k < scan.below + scan.inBand)) {
+      ++scratch.misses;
+      return medianByCopy(p, n, scratch.cells);
+    }
+    const bool dropped = scan.inBand < m;
+    k -= scan.below;
+    m = scan.inBand;
+    lo = bracketLo;
+    hi = bracketLo + (width - 1);
+    cells = band;
+    if (m <= kNthElementCells || shift == 0 || !dropped) break;
   }
-  const auto kth = band.begin() + static_cast<std::ptrdiff_t>(k);
-  std::nth_element(band.begin(), kth,
-                   band.begin() + static_cast<std::ptrdiff_t>(m));
-  return *kth;
+  std::nth_element(band, band + k, band + m);
+  return band[k];
 }
 
 }  // namespace
@@ -135,12 +182,12 @@ PeakDetector::PeakDetector(DetectorOptions options) : options_(options) {}
 
 double PeakDetector::noiseFloor(const radar::RangeAngleMap& map) {
   // The median ignores the map's shape: one row of every cell.
-  std::vector<double> band;
+  DetectScratch scratch;
   std::uint64_t rowMax = 0;
   return medianCell(map.power.data(), 1, map.power.size(),
                     detail::mapScanKernelsForLevel(
                         rfp::common::simd::activeKernelLevel()),
-                    band, &rowMax);
+                    scratch, &rowMax);
 }
 
 void PeakDetector::suppressAndConvert(
@@ -200,12 +247,12 @@ void PeakDetector::detectInto(const radar::RangeAngleMap& map,
   }
   const detail::MapScanKernels& kernels =
       detail::mapScanKernelsForLevel(rfp::common::simd::activeKernelLevel());
-  // Same statistic as noiseFloor(), on the reused band buffer; the
-  // min/max pass also leaves each row's largest cell in rowMax.
+  // Same statistic as noiseFloor(), on the reused buffers; the first
+  // scan also leaves each row's largest cell in rowMax.
   scratch.rowMax.resize(nR);
   const double* p = map.power.data();
   const double threshold =
-      medianCell(p, nR, nA, kernels, scratch.cells, scratch.rowMax.data()) *
+      medianCell(p, nR, nA, kernels, scratch, scratch.rowMax.data()) *
       options_.thresholdFactor;
 
   // Row-major sweep of the rows holding a cell above the threshold, in

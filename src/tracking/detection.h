@@ -56,16 +56,23 @@ struct DetectorOptions {
   double dynamicRangeDb = 10.0;
 };
 
-/// Reusable workspace for PeakDetector::detectInto(): the noise-floor
-/// band buffer (the map cells inside the median's radix slice, or a full
-/// copy of the map on the fallback path), each row's largest cell as a
-/// bit pattern (+inf on the fallback path), one row's interior candidate
-/// columns, and the candidate list. One instance per pipeline.
+/// Reusable workspace for PeakDetector::detectInto(): the noise floor's
+/// band buffer (the map cells inside its radix bracket, or a full copy of
+/// the map on the fallback path) and strided sample, each row's largest
+/// cell as a bit pattern (+inf on a map with a NaN or sign-bit cell), one
+/// row's interior candidate columns, and the candidate list. It also
+/// counts the noise-floor selections made through it and the sampled
+/// brackets among them that missed the median, which sends a selection
+/// down the fallback path (a miss costs time, never bits). One instance
+/// per pipeline.
 struct DetectScratch {
   std::vector<double> cells;
+  std::vector<double> sample;
   std::vector<std::uint64_t> rowMax;
   std::vector<std::size_t> columns;
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
+  std::uint64_t maps = 0;
+  std::uint64_t misses = 0;
 };
 
 /// Extracts peaks from range-angle maps.

@@ -41,18 +41,28 @@ BitRange minMaxRowsScalar(const double* cells, std::size_t rows,
   return {std::min({lo[0], lo[1], lo[2], lo[3]}), hi};
 }
 
-std::size_t compactSliceScalar(const double* cells, std::size_t n,
-                               std::uint64_t lo, std::uint64_t width,
-                               double* out) {
+RowScan scanRowsScalar(const double* cells, std::size_t rows,
+                       std::size_t cols, std::uint64_t lo, std::uint64_t width,
+                       double* out, std::uint64_t* rowMax) {
   // Branch-free: every cell is stored, and the count advances past the
-  // ones inside the slice.
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = cells[i];
-    out[count] = v;
-    count += std::bit_cast<std::uint64_t>(v) - lo < width;
+  // ones inside the bracket.
+  RowScan scan{0, 0, {~0ull, 0}};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* p = cells + r * cols;
+    std::uint64_t top = 0;
+    for (std::size_t i = 0; i < cols; ++i) {
+      const double v = p[i];
+      const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
+      scan.range.lo = std::min(scan.range.lo, b);
+      top = std::max(top, b);
+      scan.below += b < lo;
+      out[scan.inBand] = v;
+      scan.inBand += b - lo < width;
+    }
+    if (rowMax != nullptr) rowMax[r] = top;
+    scan.range.hi = std::max(scan.range.hi, top);
   }
-  return count;
+  return scan;
 }
 
 std::size_t localMaxRowScalar(const double* up, const double* row,
@@ -73,11 +83,11 @@ std::size_t localMaxRowScalar(const double* up, const double* row,
 
 const MapScanKernels& mapScanKernelsForLevel(KernelLevel level) {
   static constexpr MapScanKernels kScalar{&minMaxRowsScalar,
-                                          &compactSliceScalar,
+                                          &scanRowsScalar,
                                           &localMaxRowScalar};
 #if defined(RFP_X86_KERNELS)
   static constexpr MapScanKernels kAvx512{&minMaxRowsAvx512,
-                                          &compactSliceAvx512,
+                                          &scanRowsAvx512,
                                           &localMaxRowAvx512};
   if (level == KernelLevel::kAvx512) return kAvx512;
 #else

@@ -33,13 +33,25 @@ struct BitRange {
 using MinMaxRowsFn = BitRange (*)(const double* cells, std::size_t rows,
                                   std::size_t cols, std::uint64_t* rowMax);
 
-/// Copies, in order, the cells whose bit pattern b satisfies
-/// b - lo < width (unsigned, so [lo, lo + width)) to out and returns how
-/// many there are. \p out must hold \p n cells and may equal \p cells;
-/// its entries from the returned count on are unspecified.
-using CompactSliceFn = std::size_t (*)(const double* cells, std::size_t n,
-                                       std::uint64_t lo, std::uint64_t width,
-                                       double* out);
+/// One pass of a radix step over its cells (see ScanRowsFn).
+struct RowScan {
+  std::size_t below;   ///< cells whose pattern is below the bracket
+  std::size_t inBand;  ///< cells inside it, copied to out
+  BitRange range;      ///< smallest and largest pattern of every cell
+};
+
+/// Scans a row-major block of \p rows x \p cols cells against the
+/// bracket [lo, lo + width) of bit patterns: counts the cells below it
+/// (b < lo, unsigned), copies, in order, those inside it
+/// (b - lo < width, unsigned) to out, returns both counts with the
+/// smallest and largest pattern of every cell ({~0, 0} for no cells) and,
+/// when \p rowMax is not null, writes each row's largest pattern to
+/// rowMax[r] (0 for an empty row). \p out must hold rows x cols cells
+/// and may equal \p cells; its entries from inBand on are unspecified.
+using ScanRowsFn = RowScan (*)(const double* cells, std::size_t rows,
+                               std::size_t cols, std::uint64_t lo,
+                               std::uint64_t width, double* out,
+                               std::uint64_t* rowMax);
 
 /// Interior local-maximum test of one map row: writes, in ascending
 /// order, every column a in [1, cols - 1) with row[a] > threshold and no
@@ -54,7 +66,7 @@ using LocalMaxRowFn = std::size_t (*)(const double* up, const double* row,
 /// One level's kernels; they switch together.
 struct MapScanKernels {
   MinMaxRowsFn minMaxRows;
-  CompactSliceFn compactSlice;
+  ScanRowsFn scanRows;
   LocalMaxRowFn localMaxRow;
 };
 
@@ -62,21 +74,21 @@ struct MapScanKernels {
 /// and the memcmp oracle of the vector ones.
 BitRange minMaxRowsScalar(const double* cells, std::size_t rows,
                           std::size_t cols, std::uint64_t* rowMax);
-std::size_t compactSliceScalar(const double* cells, std::size_t n,
-                               std::uint64_t lo, std::uint64_t width,
-                               double* out);
+RowScan scanRowsScalar(const double* cells, std::size_t rows,
+                       std::size_t cols, std::uint64_t lo, std::uint64_t width,
+                       double* out, std::uint64_t* rowMax);
 std::size_t localMaxRowScalar(const double* up, const double* row,
                               const double* down, std::size_t cols,
                               double threshold, std::size_t* out);
 
 #if defined(RFP_X86_KERNELS)
-/// Eight cells per 512-bit vector, the last cols % 8 (n % 8) as one masked
-/// iteration (map_scan_kernels_avx512.cpp).
+/// Eight cells per 512-bit vector, the last cols % 8 of a row as one
+/// masked iteration (map_scan_kernels_avx512.cpp).
 BitRange minMaxRowsAvx512(const double* cells, std::size_t rows,
                           std::size_t cols, std::uint64_t* rowMax);
-std::size_t compactSliceAvx512(const double* cells, std::size_t n,
-                               std::uint64_t lo, std::uint64_t width,
-                               double* out);
+RowScan scanRowsAvx512(const double* cells, std::size_t rows,
+                       std::size_t cols, std::uint64_t lo, std::uint64_t width,
+                       double* out, std::uint64_t* rowMax);
 std::size_t localMaxRowAvx512(const double* up, const double* row,
                               const double* down, std::size_t cols,
                               double threshold, std::size_t* out);

@@ -60,32 +60,55 @@ BitRange minMaxRowsAvx512(const double* cells, std::size_t rows,
   return {_mm512_reduce_min_epu64(lo), _mm512_reduce_max_epu64(hi)};
 }
 
-std::size_t compactSliceAvx512(const double* cells, std::size_t n,
-                               std::uint64_t lo, std::uint64_t width,
-                               double* out) {
+RowScan scanRowsAvx512(const double* cells, std::size_t rows,
+                       std::size_t cols, std::uint64_t lo, std::uint64_t width,
+                       double* out, std::uint64_t* rowMax) {
   const __m512i vlo = _mm512_set1_epi64(static_cast<long long>(lo));
   const __m512i vwidth = _mm512_set1_epi64(static_cast<long long>(width));
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i below = _mm512_setzero_si512();
+  __m512i least = _mm512_set1_epi64(-1);
+  __m512i most = _mm512_setzero_si512();
   std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i b = _mm512_loadu_si512(cells + i);
-    const __mmask8 in =
-        _mm512_cmplt_epu64_mask(_mm512_sub_epi64(b, vlo), vwidth);
-    // A full store of the packed lanes: it covers out[count, count + 8),
-    // and count <= i, so it stays inside the first n cells and, in place,
-    // overwrites only cells already loaded.
-    _mm512_storeu_si512(out + count, _mm512_maskz_compress_epi64(in, b));
-    count += countOf(in);
+  const std::size_t body = cols - cols % 8;
+  const __mmask8 tail = firstLanes(cols % 8);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* p = cells + r * cols;
+    __m512i top = _mm512_setzero_si512();
+    for (std::size_t i = 0; i < body; i += 8) {
+      const __m512i b = _mm512_loadu_si512(p + i);
+      least = _mm512_min_epu64(least, b);
+      top = _mm512_max_epu64(top, b);
+      below = _mm512_mask_add_epi64(below, _mm512_cmplt_epu64_mask(b, vlo),
+                                    below, one);
+      const __mmask8 in =
+          _mm512_cmplt_epu64_mask(_mm512_sub_epi64(b, vlo), vwidth);
+      // A full store of the packed lanes, with no branch on an empty mask:
+      // which vectors hold a bracket cell follows the map, and a branch on
+      // it mispredicts. The store covers out[count, count + 8), and
+      // count <= r * cols + i, so it stays inside the first rows * cols
+      // cells and, in place, overwrites only cells already loaded.
+      _mm512_storeu_si512(out + count, _mm512_maskz_compress_epi64(in, b));
+      count += countOf(in);
+    }
+    if (tail != 0) {
+      // Idle lanes load 0, which no maximum loses to; the minimum and the
+      // counts keep to the live lanes.
+      const __m512i b = _mm512_maskz_loadu_epi64(tail, p + body);
+      least = _mm512_mask_min_epu64(least, tail, least, b);
+      top = _mm512_max_epu64(top, b);
+      below = _mm512_mask_add_epi64(
+          below, _mm512_mask_cmplt_epu64_mask(tail, b, vlo), below, one);
+      const __mmask8 in = _mm512_mask_cmplt_epu64_mask(
+          tail, _mm512_sub_epi64(b, vlo), vwidth);
+      _mm512_mask_compressstoreu_epi64(out + count, in, b);
+      count += countOf(in);
+    }
+    if (rowMax != nullptr) rowMax[r] = _mm512_reduce_max_epu64(top);
+    most = _mm512_max_epu64(most, top);
   }
-  if (i < n) {
-    const __mmask8 live = firstLanes(n - i);
-    const __m512i b = _mm512_maskz_loadu_epi64(live, cells + i);
-    const __mmask8 in =
-        _mm512_mask_cmplt_epu64_mask(live, _mm512_sub_epi64(b, vlo), vwidth);
-    _mm512_mask_compressstoreu_epi64(out + count, in, b);
-    count += countOf(in);
-  }
-  return count;
+  return {static_cast<std::size_t>(_mm512_reduce_add_epi64(below)), count,
+          {_mm512_reduce_min_epu64(least), _mm512_reduce_max_epu64(most)}};
 }
 
 std::size_t localMaxRowAvx512(const double* up, const double* row,

@@ -1034,48 +1034,113 @@ TEST(KernelMapScan, MinMaxRowsEveryLevelBitIdenticalToScalar) {
   }
 }
 
-TEST(KernelMapScan, CompactSliceEveryLevelBitIdenticalToScalar) {
+TEST(KernelMapScan, ScanRowsEveryLevelBitIdenticalToScalar) {
+  constexpr std::uint64_t kSentinel = 0x5eed5eed5eed5eedull;
   const double sentinel = std::nan("0x5eed");
-  // The slice [lo, lo + width): cells at its first and last pattern and
-  // one pattern outside either end, among cells far inside and outside.
+  // The bracket [lo, lo + width): cells at its first and last pattern and
+  // one pattern outside either end, among cells far inside and outside,
+  // sign-bit, NaN and -0.0 cells; then the same cells against an empty
+  // bracket, every pattern from +0.0 to +inf, and every pattern but the
+  // all-ones one.
   const std::uint64_t lo = std::bit_cast<std::uint64_t>(1.0);
   const std::uint64_t width = std::uint64_t{1} << 20;
+  const std::uint64_t inf =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
   const std::uint64_t edges[] = {lo, lo + width - 1, lo - 1, lo + width};
-  for (std::size_t n : mapRowWidths()) {
-    common::Rng rng(950 + n);
+  const std::uint64_t odd[] = {
+      std::bit_cast<std::uint64_t>(-0.0), std::bit_cast<std::uint64_t>(-1.0),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN()),
+      ~0ull};
+  struct Bracket {
+    std::uint64_t lo;
+    std::uint64_t width;
+  };
+  const Bracket brackets[] = {{lo, width}, {lo, 0}, {0, inf + 1}, {0, ~0ull}};
+  constexpr std::size_t kRows = 3;
+  for (std::size_t cols : mapRowWidths()) {
+    common::Rng rng(950 + cols);
+    const std::size_t n = kRows * cols;
     std::vector<double> cells(n + kMapSentinels, sentinel);
     for (std::size_t i = 0; i < n; ++i) {
       const double u = rng.uniform();
       const std::uint64_t bits =
           u < 0.4   ? edges[i % 4]
-          : u < 0.7 ? lo + static_cast<std::uint64_t>(rng.uniform() * 1e6)
+          : u < 0.6 ? lo + static_cast<std::uint64_t>(rng.uniform() * 1e6)
+          : u < 0.7 ? odd[i % 4]
                     : std::bit_cast<std::uint64_t>(rng.exponential(1.0));
       cells[i] = std::bit_cast<double>(bits);
     }
-    std::vector<double> ref(n + kMapSentinels, sentinel);
-    const std::size_t want = tracking::detail::compactSliceScalar(
-        cells.data(), n, lo, width, ref.data());
-    for (KernelLevel level : simd::availableKernelLevels()) {
-      const tracking::detail::CompactSliceFn fn =
-          tracking::detail::mapScanKernelsForLevel(level).compactSlice;
-      std::vector<double> out(n + kMapSentinels, sentinel);
-      std::vector<double> inPlace = cells;
-      const std::size_t got = fn(cells.data(), n, lo, width, out.data());
-      const std::size_t gotInPlace =
-          fn(inPlace.data(), n, lo, width, inPlace.data());
-      // Entries from the count up to n are unspecified; the kept cells
-      // and the sentinels past n are not.
-      const auto same = [&](const std::vector<double>& v) {
-        return std::memcmp(v.data(), ref.data(), want * sizeof(double)) ==
-                   0 &&
-               std::memcmp(v.data() + n, ref.data() + n,
-                           kMapSentinels * sizeof(double)) == 0;
-      };
-      EXPECT_TRUE(got == want && same(out))
-          << "level=" << simd::kernelLevelName(level) << " n=" << n;
-      EXPECT_TRUE(gotInPlace == want && same(inPlace))
-          << "in place, level=" << simd::kernelLevelName(level)
-          << " n=" << n;
+    for (const Bracket& bracket : brackets) {
+      for (std::size_t rows : {std::size_t{0}, std::size_t{1}, kRows}) {
+        const std::size_t m = rows * cols;
+        // The scalar form against the definition.
+        std::vector<double> ref(m + kMapSentinels, sentinel);
+        std::vector<std::uint64_t> refMax(rows + kMapSentinels, kSentinel);
+        const tracking::detail::RowScan want =
+            tracking::detail::scanRowsScalar(cells.data(), rows, cols,
+                                             bracket.lo, bracket.width,
+                                             ref.data(), refMax.data());
+        std::size_t below = 0;
+        std::vector<double> band;
+        tracking::detail::BitRange range{~0ull, 0};
+        for (std::size_t r = 0; r < rows; ++r) {
+          std::uint64_t top = 0;
+          for (std::size_t i = r * cols; i < (r + 1) * cols; ++i) {
+            const auto b = std::bit_cast<std::uint64_t>(cells[i]);
+            below += b < bracket.lo;
+            if (b - bracket.lo < bracket.width) band.push_back(cells[i]);
+            range.lo = std::min(range.lo, b);
+            top = std::max(top, b);
+          }
+          range.hi = std::max(range.hi, top);
+          ASSERT_EQ(refMax[r], top) << "cols=" << cols << " row " << r;
+        }
+        ASSERT_TRUE(want.below == below && want.inBand == band.size() &&
+                    want.range.lo == range.lo && want.range.hi == range.hi &&
+                    (band.empty() ||
+                     std::memcmp(ref.data(), band.data(),
+                                 band.size() * sizeof(double)) == 0))
+            << "scalar form, rows=" << rows << " cols=" << cols;
+
+        // Every level against the scalar form: counts, range, the kept
+        // cells, the row maxima and the sentinels past either output.
+        // Entries from inBand up to m are unspecified.
+        const auto same = [&](const tracking::detail::RowScan& got,
+                              const std::vector<double>& out) {
+          return got.below == want.below && got.inBand == want.inBand &&
+                 got.range.lo == want.range.lo &&
+                 got.range.hi == want.range.hi &&
+                 std::memcmp(out.data(), ref.data(),
+                             want.inBand * sizeof(double)) == 0 &&
+                 std::memcmp(out.data() + m, ref.data() + m,
+                             kMapSentinels * sizeof(double)) == 0;
+        };
+        for (KernelLevel level : simd::availableKernelLevels()) {
+          const tracking::detail::ScanRowsFn fn =
+              tracking::detail::mapScanKernelsForLevel(level).scanRows;
+          std::vector<double> out(m + kMapSentinels, sentinel);
+          std::vector<std::uint64_t> rowMax(rows + kMapSentinels, kSentinel);
+          const tracking::detail::RowScan got =
+              fn(cells.data(), rows, cols, bracket.lo, bracket.width,
+                 out.data(), rowMax.data());
+          std::vector<double> inPlace(cells.begin(), cells.begin() + m);
+          inPlace.resize(m + kMapSentinels, sentinel);
+          const tracking::detail::RowScan gotInPlace =
+              fn(inPlace.data(), rows, cols, bracket.lo, bracket.width,
+                 inPlace.data(), nullptr);
+          EXPECT_TRUE(same(got, out) &&
+                      std::memcmp(rowMax.data(), refMax.data(),
+                                  rowMax.size() * sizeof(std::uint64_t)) ==
+                          0)
+              << "level=" << simd::kernelLevelName(level)
+              << " rows=" << rows << " cols=" << cols
+              << " bracket width=" << bracket.width;
+          EXPECT_TRUE(same(gotInPlace, inPlace))
+              << "in place, level=" << simd::kernelLevelName(level)
+              << " rows=" << rows << " cols=" << cols
+              << " bracket width=" << bracket.width;
+        }
+      }
     }
   }
 }

@@ -200,6 +200,39 @@ TEST(ThreadPool, NestedParallelForFromWorkerRunsInline) {
   EXPECT_EQ(inner.load(), 32);
 }
 
+TEST(ThreadPool, ConcurrentGlobalCallersSeeOnePool) {
+  GlobalPoolGuard guard;
+  ThreadPool::setGlobalThreads(3);
+  // Callers on several threads at once, each running a loop on the pool
+  // it sees: every one sees the pool setGlobalThreads made.
+  constexpr std::size_t kCallers = 8;
+  std::vector<ThreadPool*> seen(kCallers, nullptr);
+  std::vector<std::size_t> sizes(kCallers, 0);
+  std::atomic<std::size_t> ran{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int i = 0; i < 1000; ++i) {
+        ThreadPool& pool = ThreadPool::global();
+        if (i == 0) seen[c] = &pool;
+        if (&pool != seen[c]) seen[c] = nullptr;
+      }
+      sizes[c] = ThreadPool::global().size();
+      ThreadPool::global().parallelFor(
+          0, 16, [&](std::size_t) { ran.fetch_add(1); });
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(seen[c], &ThreadPool::global()) << "caller " << c;
+    EXPECT_EQ(sizes[c], 3u) << "caller " << c;
+  }
+  EXPECT_EQ(ran.load(), kCallers * 16);
+}
+
 radar::RadarConfig parallelTestConfig() {
   radar::RadarConfig cfg;
   cfg.position = {5.0, 0.05};

@@ -466,14 +466,18 @@ TEST(NoiseFloor, MatchesNthElementAcrossSizesAndPatterns) {
     expectFloorMatchesNthElement(std::vector<double>(n, 0.0), "all zero");
 
     rfp::common::Rng rng(200 + n);
-    std::vector<double> ties(n), zeros(n), infs(n), mostlyInf(n);
+    std::vector<double> ties(n), twoValues(n), zeros(n), infs(n),
+        mostlyInf(n);
     for (std::size_t i = 0; i < n; ++i) {
       ties[i] = static_cast<double>(static_cast<int>(rng.uniform(0.0, 3.0)));
+      twoValues[i] = rng.uniform() < 0.5 ? 0.5 : 2.0;
       zeros[i] = rng.uniform() < 0.6 ? 0.0 : rng.exponential(1.0);
       infs[i] = rng.uniform() < 0.1 ? inf : rng.exponential(1.0);
       mostlyInf[i] = rng.uniform() < 0.6 ? inf : rng.exponential(1.0);
     }
     expectFloorMatchesNthElement(ties, "ties at the median");
+    // A sample bracket holding both values keeps every cell.
+    expectFloorMatchesNthElement(twoValues, "two values, half each");
     expectFloorMatchesNthElement(zeros, "zeros at the median");
     expectFloorMatchesNthElement(infs, "+inf cells");
     expectFloorMatchesNthElement(mostlyInf, "+inf at the median");
@@ -492,60 +496,120 @@ TEST(NoiseFloor, MatchesNthElementAcrossSizesAndPatterns) {
   }
 }
 
-TEST(NoiseFloor, MatchesNthElementWhenTheSampleMissesTheMedian) {
-  // Every (n / 1024)-th cell far above the rest, then at zero: a strided
-  // 1,024-cell sample of such a map bracket ranks far from n / 2, so the
-  // median must not rest on one.
-  const std::size_t n = 41087;
-  const std::size_t stride = n / 1024;
-  std::vector<double> cells = noiseWithPeaks(n, 7);
-  for (std::size_t i = 0; i < n; i += stride) {
-    cells[i] = 1e6 + static_cast<double>(i);
-  }
-  expectFloorMatchesNthElement(cells, "sample above the median");
-  for (std::size_t i = 0; i < n; i += stride) cells[i] = 0.0;
-  expectFloorMatchesNthElement(cells, "sample below the median");
+/// Sampled brackets that missed the median in one detectInto() call on
+/// \p cells (as an n x 1 map); also checks that the call counted one map.
+std::uint64_t bracketMisses(const std::vector<double>& cells) {
+  const radar::Processor processor(testRadar());
+  DetectScratch scratch;
+  std::vector<Detection> out;
+  PeakDetector().detectInto(mapOfCells(cells), processor, scratch, out);
+  EXPECT_EQ(scratch.maps, 1u);
+  return scratch.misses;
 }
 
-/// A permutation of the ranks 0..n-1 (as cell values) in which a strided
-/// sample -- every (n / 1024)-th cell -- has its ranks 512 -+ 40 at
-/// overall ranks \p loRank and \p hiRank: the median sits at either edge
-/// of the band such a sample brackets.
-std::vector<double> cellsWithBracketAt(std::size_t n, std::size_t loRank,
-                                       std::size_t hiRank) {
-  const std::size_t stride = n / 1024;
-  std::vector<double> cells(n, -1.0);
-  std::vector<bool> used(n, false);
+/// The first radix step's sample of an n-cell map: 1,024 cells at stride
+/// n / 1,024 from stride / 2 (n >= 2,048), and the sample rank of the
+/// median, whose bracket spans the sample ranks 48 either side of it.
+struct MapSample {
+  std::size_t stride;
+  std::size_t target;
+
+  explicit MapSample(std::size_t n)
+      : stride(n / 1024), target(n / 2 * 1024 / n) {}
+  std::size_t at(std::size_t j) const { return stride / 2 + j * stride; }
+};
+
+TEST(NoiseFloor, MatchesNthElementWhenTheSampleMissesTheMedian) {
+  // The sampled cells far above the rest, then far below: the sample's
+  // bracket then holds ranks far from n / 2, so the median must not rest
+  // on it, and the miss path must run on either side.
+  const std::size_t n = 41087;
+  const MapSample sample(n);
+  std::vector<double> cells = noiseWithPeaks(n, 7);
   for (std::size_t j = 0; j < 1024; ++j) {
-    // Sample ranks below 472 stay below lo, 472..551 run up from lo,
-    // 552 is hi, and the rest sit above hi.
-    std::size_t rank = j;
-    if (j >= 472) rank = loRank + (j - 472);
-    if (j == 552) rank = hiRank;
-    if (j > 552) rank = n - 1024 + j;
-    cells[j * stride] = static_cast<double>(rank);
-    used[rank] = true;
+    cells[sample.at(j)] = 1e6 + static_cast<double>(j);
   }
-  std::size_t next = 0;
-  for (double& c : cells) {
-    if (c >= 0.0) continue;
-    while (used[next]) ++next;
-    c = static_cast<double>(next++);
+  expectFloorMatchesNthElement(cells, "sample above the median");
+  EXPECT_GE(bracketMisses(cells), 1u) << "sample above the median";
+  for (std::size_t j = 0; j < 1024; ++j) {
+    cells[sample.at(j)] = 1e-9 * static_cast<double>(j + 1);
   }
+  expectFloorMatchesNthElement(cells, "sample below the median");
+  EXPECT_GE(bracketMisses(cells), 1u) << "sample below the median";
+}
+
+TEST(NoiseFloor, MatchesNthElementWhenTheSampleIsAllEqualAndTheMedianIsNot) {
+  // An all-equal sample brackets one pattern, 0.5, which the exponential
+  // noise around it holds only in the sampled cells: a miss. The same
+  // sample over a map whose median is 0.5 hits.
+  const std::size_t n = 41087;
+  const MapSample sample(n);
+  std::vector<double> cells = noiseWithPeaks(n, 17);
+  for (std::size_t j = 0; j < 1024; ++j) cells[sample.at(j)] = 0.5;
+  expectFloorMatchesNthElement(cells, "all-equal sample");
+  EXPECT_GE(bracketMisses(cells), 1u);
+  for (std::size_t i = 0; i < n; ++i) cells[i] = i % 2 == 0 ? 0.25 : 4.0;
+  for (std::size_t j = 0; j < 1024; ++j) cells[sample.at(j)] = 0.5;
+  cells[sample.at(0) + 1] = 0.5;
+  expectFloorMatchesNthElement(cells, "all-equal sample at the median");
+  EXPECT_EQ(bracketMisses(cells), 0u);
+}
+
+/// An n-cell map whose first-step sample spans 2^28 patterns above 1.0,
+/// so its histogram cuts 256 slices of 2^20 patterns, with the bracket's
+/// edge ranks at the first pattern of slice 100 and the last of slice 150.
+/// Only the 97 sampled cells from one edge rank to the other lie inside
+/// the bracket, so a hit leaves fewer than 2,048 cells for the next step,
+/// which then counts them all; \p below cells, the sampled ones included,
+/// lie under it and the rest over it.
+std::vector<double> cellsAroundBracket(std::size_t n, std::size_t below) {
+  const MapSample sample(n);
+  const std::size_t rLo = sample.target - 48;
+  const std::size_t rHi = sample.target + 48;
+  const std::uint64_t base = std::bit_cast<std::uint64_t>(1.0);
+  constexpr std::uint64_t kSlice = std::uint64_t{1} << 20;
+  const std::uint64_t first = base + 100 * kSlice;
+  const std::uint64_t last = base + 151 * kSlice - 1;
+  std::vector<std::uint64_t> bits(n, 0);
+  for (std::size_t r = 0; r < 1024; ++r) {
+    std::uint64_t b = base + 200 * kSlice + r;  // above the bracket
+    if (r < rLo) b = base + r;
+    if (r == rLo) b = first;
+    if (r > rLo && r < rHi) b = first + r;
+    if (r == rHi) b = last;
+    if (r == 1023) b = base + 256 * kSlice - 1;
+    bits[sample.at(r)] = b;
+  }
+  std::size_t placed = rLo;
+  for (std::uint64_t& b : bits) {
+    if (b != 0) continue;
+    b = placed++ < below ? base + 1000 + placed : base + 220 * kSlice + placed;
+  }
+  std::vector<double> cells;
+  for (std::uint64_t b : bits) cells.push_back(std::bit_cast<double>(b));
   return cells;
 }
 
 TEST(NoiseFloor, MatchesNthElementWithTheMedianAtTheBracketEdge) {
+  // The median at either edge of the sampled bracket hits; one rank past
+  // either edge misses, and the exact counts send it down the miss path.
   const std::size_t n = 41087;
   const std::size_t k = n / 2;
-  expectFloorMatchesNthElement(cellsWithBracketAt(n, k - 1000, k - 1),
-                               "bracket ends one below the median");
-  expectFloorMatchesNthElement(cellsWithBracketAt(n, k - 1000, k),
-                               "median is the bracket top");
-  expectFloorMatchesNthElement(cellsWithBracketAt(n, k, k + 1000),
-                               "median is the bracket bottom");
-  expectFloorMatchesNthElement(cellsWithBracketAt(n, k + 1, k + 1000),
-                               "bracket starts one above the median");
+  const struct {
+    std::size_t below;
+    bool misses;
+    const char* what;
+  } cases[] = {
+      {k, false, "median is the bracket bottom"},
+      {k + 1, true, "bracket starts one above the median"},
+      {k + 1 - 97, false, "median is the bracket top"},
+      {k - 97, true, "bracket ends one below the median"},
+  };
+  for (const auto& c : cases) {
+    const std::vector<double> cells = cellsAroundBracket(n, c.below);
+    expectFloorMatchesNthElement(cells, c.what);
+    EXPECT_EQ(bracketMisses(cells) > 0, c.misses) << c.what;
+  }
 }
 
 TEST(NoiseFloor, MatchesNthElementWithNegativeOrNanCells) {
@@ -761,10 +825,11 @@ std::size_t expectDetectIntoMatchesNestedLoops(
   return got.size();
 }
 
-/// Runs 41 frames of \p scenario with a ghost (the first primes the
-/// background subtraction) and checks every map's noise floor and
-/// detections against the slow references. Returns the candidate count.
-std::size_t checkScenarioFrames(const core::Scenario& scenario) {
+/// Runs \p frames + 1 frames of \p scenario with a ghost (the first primes
+/// the background subtraction) and hands each range-angle map, with the
+/// radar that made it and the frame's index, to \p check.
+template <class Check>
+void forEachMap(const core::Scenario& scenario, int frames, Check check) {
   rfp::common::Rng rng(2024);
   trajectory::HumanWalkModel model;
   const trajectory::Trace trace = trajectory::centered(model.sample(rng));
@@ -773,17 +838,12 @@ std::size_t checkScenarioFrames(const core::Scenario& scenario) {
   system.addGhostAuto(trace, 2.0 * dt, scenario.plan, rng);
   env::Environment environment(scenario.plan);
   core::EavesdropperRadar radar(scenario.sensing);
-  const PeakDetector detector =
-      everyCandidateDetector(scenario.sensing.detector);
 
   std::vector<env::PointScatterer> scene;
   radar::Frame frame;
   radar::RangeAngleMap map;
   radar::ProcessorScratch processorScratch;
-  DetectScratch detectScratch;
-  std::size_t frames = 0;
-  std::size_t candidates = 0;
-  for (int f = 0; f < 41; ++f) {
+  for (int f = 0; f <= frames; ++f) {
     const double t = f * dt;
     core::combineScatterersInto(scene, environment, t, rng, scenario.snapshot,
                                 system.injectAt(t));
@@ -791,23 +851,53 @@ std::size_t checkScenarioFrames(const core::Scenario& scenario) {
     const radar::Frame* diff = radar.backgroundDiff(frame);
     if (diff == nullptr) continue;
     radar.processor().processInto(*diff, map, processorScratch);
+    check(map, radar.processor(), f);
+  }
+}
 
+/// Runs 41 frames of \p scenario and checks every map's noise floor and
+/// detections against the slow references. Returns the candidate count.
+std::size_t checkScenarioFrames(const core::Scenario& scenario) {
+  const PeakDetector detector =
+      everyCandidateDetector(scenario.sensing.detector);
+  DetectScratch detectScratch;
+  std::size_t frames = 0;
+  std::size_t candidates = 0;
+  forEachMap(scenario, 40, [&](const radar::RangeAngleMap& map,
+                               const radar::Processor& processor, int f) {
     std::vector<double> sorted = map.power;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_TRUE(
         sameBits(PeakDetector::noiseFloor(map), sorted[sorted.size() / 2]))
         << "frame " << f;
     candidates += expectDetectIntoMatchesNestedLoops(
-        detector, map, radar.processor(), detectScratch,
+        detector, map, processor, detectScratch,
         "frame " + std::to_string(f));
     ++frames;
-  }
+  });
   EXPECT_EQ(frames, 40u);
   return candidates;
 }
 
 TEST(PeakDetector, DetectIntoMatchesBruteForceOnOfficeFrames) {
   EXPECT_GT(checkScenarioFrames(core::makeOfficeScenario()), 40u);
+}
+
+TEST(PeakDetector, NoSampledBracketMissesOnOfficeFrames) {
+  // 200 office maps of 41,087 cells: each first step and the step on its
+  // band sample their cells, and every bracket holds the median.
+  const core::Scenario scenario = core::makeOfficeScenario();
+  const PeakDetector detector(scenario.sensing.detector);
+  DetectScratch scratch;
+  std::vector<Detection> out;
+  forEachMap(scenario, 200,
+             [&](const radar::RangeAngleMap& map,
+                 const radar::Processor& processor, int) {
+               ASSERT_EQ(map.power.size(), 41087u);
+               detector.detectInto(map, processor, scratch, out);
+             });
+  EXPECT_EQ(scratch.maps, 200u);
+  EXPECT_EQ(scratch.misses, 0u);
 }
 
 TEST(PeakDetector, DetectIntoMatchesBruteForceOnToyFrames) {
