@@ -34,7 +34,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -383,11 +382,8 @@ void writeJson(const std::vector<ScaleResult>& scales,
   bench::JsonWriter json;
   json.beginObject()
       .field("scenario", "fleet-home")
-      .field("smoke", smoke)
-      .field("hardware_concurrency", std::thread::hardware_concurrency())
-      .field("rfp_threads",
-             rfp::common::ThreadPool::resolveThreadCount());
-  bench::stampKernelProvenance(json)
+      .field("smoke", smoke);
+  bench::stampRunProvenance(json)
       .field("healthy_metrics_bit_identical", healthyIdentical)
       .field("service_ledger_deterministic", ledgerDeterministic)
       .field("memo_bit_identical", memoIdentity)

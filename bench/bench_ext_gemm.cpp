@@ -310,9 +310,8 @@ int runGemmBench(bool smoke) {
   bench::JsonWriter json;
   json.beginObject()
       .field("bench", "gemm")
-      .field("smoke", smoke)
-      .field("hardware_concurrency", std::thread::hardware_concurrency());
-  bench::stampKernelProvenance(json).beginArray("levels");
+      .field("smoke", smoke);
+  bench::stampRunProvenance(json).beginArray("levels");
   for (const LevelResult& lr : levelResults) {
     json.beginObject()
         .field("level", common::simd::kernelLevelName(lr.level))

@@ -46,7 +46,6 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -611,9 +610,8 @@ int runKernelSweep(bool smoke) {
   bench::JsonWriter json;
   json.beginObject()
       .field("bench", "kernels")
-      .field("smoke", smoke)
-      .field("hardware_concurrency", std::thread::hardware_concurrency());
-  bench::stampKernelProvenance(json)
+      .field("smoke", smoke);
+  bench::stampRunProvenance(json)
       .field("avx2_fma_available", fmaAvailable)
       .beginArray("levels");
   for (const LevelRow& row : rows) {

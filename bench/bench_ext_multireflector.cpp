@@ -195,7 +195,7 @@ void writeJson(const std::vector<CaseResult>& cases, bool smoke,
   json.beginObject()
       .field("scenario", "home")
       .field("smoke", smoke);
-  bench::stampKernelProvenance(json)
+  bench::stampRunProvenance(json)
       .field("match_radius_m", 1.0)
       .field("failover_ledger_deterministic", ledgerDeterministic)
       .beginArray("cases");

@@ -195,7 +195,7 @@ void writeJson(const std::vector<ScaleResult>& scales, bool smoke) {
   json.beginObject()
       .field("scenario", "recovery-home")
       .field("smoke", smoke);
-  bench::stampKernelProvenance(json)
+  bench::stampRunProvenance(json)
       .beginArray("scales");
   for (const ScaleResult& s : scales) {
     json.beginObject()

@@ -161,9 +161,8 @@ int runScaling(bool smoke) {
   json.beginObject()
       .field("bench", "scaling")
       .field("scenario", "fig9-office-localization")
-      .field("smoke", smoke)
-      .field("hardware_concurrency", std::thread::hardware_concurrency());
-  bench::stampKernelProvenance(json)
+      .field("smoke", smoke);
+  bench::stampRunProvenance(json)
       .field("timed_frames", timedFrames)
       .field("checked_frames", checkedFrames)
       .beginArray("results");

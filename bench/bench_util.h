@@ -13,16 +13,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "common/cpuid.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "gan/trajectory_gan.h"
 #include "trajectory/fid.h"
 #include "trajectory/human_walk.h"
@@ -182,6 +185,19 @@ inline JsonWriter& stampKernelProvenance(JsonWriter& json) {
                  rfp::common::simd::activeKernelLevel()))
       .field("cpu_features", rfp::common::simd::cpuFeatureString());
   return json;
+}
+
+/// Stamps the pool a bench ran with -- `hardware_concurrency`,
+/// `rfp_threads_env` (RFP_THREADS as set, "" when unset) and `rfp_threads`
+/// (the size a default pool resolves to, the caller included; DESIGN.md
+/// Sec. 8), the names perfbench uses -- then the kernel provenance. Every
+/// bench_ext_* JSON starts with these. Call inside an open object.
+inline JsonWriter& stampRunProvenance(JsonWriter& json) {
+  const char* threadsEnv = std::getenv("RFP_THREADS");
+  json.field("hardware_concurrency", std::thread::hardware_concurrency())
+      .field("rfp_threads_env", threadsEnv != nullptr ? threadsEnv : "")
+      .field("rfp_threads", rfp::common::ThreadPool::resolveThreadCount());
+  return stampKernelProvenance(json);
 }
 
 /// Prints the standard percentile summary used for the Fig. 11 CDFs.

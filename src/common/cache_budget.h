@@ -17,7 +17,6 @@
 /// frame in flight still holds.
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -39,27 +38,12 @@ inline std::size_t resolveCacheBudgetBytes() {
   return mb * std::size_t{1024} * std::size_t{1024};
 }
 
-inline std::atomic<std::size_t>& cacheBudgetOverride() {
-  static std::atomic<std::size_t> value{0};  // 0 = use the env resolution
-  return value;
-}
-
 }  // namespace detail
 
-/// Total derived-data cache budget [bytes]: the RFP_CACHE_MB resolution,
-/// unless a test override is in effect.
+/// Total derived-data cache budget [bytes]: the RFP_CACHE_MB resolution.
 inline std::size_t cacheBudgetBytes() {
-  const std::size_t forced =
-      detail::cacheBudgetOverride().load(std::memory_order_acquire);
-  if (forced != 0) return forced;
   static const std::size_t resolved = detail::resolveCacheBudgetBytes();
   return resolved;
-}
-
-/// Forces the budget (test/ops hook; 0 restores the RFP_CACHE_MB
-/// resolution). Takes effect on the next cache insertion.
-inline void setCacheBudgetBytes(std::size_t bytes) {
-  detail::cacheBudgetOverride().store(bytes, std::memory_order_release);
 }
 
 }  // namespace rfp::common

@@ -2,7 +2,7 @@
 
 /// \file env_count.h
 /// The one parser behind the positive whole-number environment knobs
-/// (`RFP_THREADS`, `RFP_CACHE_MB`, `RFP_GEMM_NC`). `strtoul` would accept
+/// (`RFP_THREADS`, `RFP_CACHE_MB`). `strtoul` would accept
 /// a leading minus sign and wrap it to a huge count (`RFP_THREADS=-1`
 /// read as the 256-worker clamp); this parser accepts decimal digits
 /// only, so such values are ignored like any other unparsable text.

@@ -4,12 +4,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
+#include <utility>
 
 #include "common/env_count.h"
 
@@ -17,18 +14,74 @@ namespace rfp::common {
 
 namespace {
 
-/// True on threads owned by some pool; nested parallelFor calls from a
-/// worker run inline instead of re-entering the queue (which could
-/// deadlock once every worker waits on work only other workers can run).
-thread_local bool tlsInsideWorker = false;
+/// True while this thread runs pool iterations: on every worker, and on a
+/// caller while it claims its own loop's indices. A parallelFor made from
+/// there runs inline, so a nested loop never waits on a pool its own
+/// thread occupies.
+thread_local bool tlsInLoop = false;
+
+/// An iteration that threw, and its index.
+using Failure = std::pair<std::size_t, std::exception_ptr>;
+
+/// Reports the failures of a loop over \p range indices (at least one;
+/// callers test for none inline, which keeps the 1-thread loop as cheap as
+/// a bare one): one rethrows its own exception, several throw
+/// ParallelForError quoting the first three in index order.
+[[noreturn]] void throwFailures(std::vector<Failure>& failures,
+                                std::size_t range) {
+  if (failures.size() == 1) std::rethrow_exception(failures.front().second);
+  std::ranges::sort(failures, {}, &Failure::first);
+  std::string message = "parallelFor: " + std::to_string(failures.size()) +
+                        " of " + std::to_string(range) + " iterations failed";
+  constexpr std::size_t kMaxQuoted = 3;
+  for (std::size_t q = 0; q < std::min(failures.size(), kMaxQuoted); ++q) {
+    message += "; [" + std::to_string(failures[q].first) + "] ";
+    try {
+      std::rethrow_exception(failures[q].second);
+    } catch (const std::exception& e) {
+      message += e.what();
+    } catch (...) {
+      message += "<non-standard>";
+    }
+  }
+  if (failures.size() > kMaxQuoted) message += "; ...";
+  throw ParallelForError(std::move(message), failures.size());
+}
 
 }  // namespace
 
+/// The one loop the pool runs at a time. Its caller opens it under `mutex`
+/// and workers join it there; the caller closes it once every index is
+/// claimed and returns when no worker is inside, so `body` outlives every
+/// thread that runs it.
 struct ThreadPool::Impl {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::function<void()>> queue;
+  std::mutex busy;   ///< held by the caller whose loop owns the pool
+  std::mutex mutex;  ///< guards every field below but `next`
+  std::condition_variable wake;  ///< workers: a loop opened, or stop
+  std::condition_variable idle;  ///< the caller: the last worker left
+  const std::function<void(std::size_t)>* body = nullptr;
+  std::atomic<std::size_t> next{0};  ///< the next unclaimed index
+  std::size_t end = 0;
+  std::uint64_t generation = 0;  ///< bumped per loop; a worker joins each once
+  std::size_t inside = 0;        ///< workers inside the loop
+  bool open = false;
   bool stopping = false;
+  std::vector<Failure> failures;
+
+  /// Claims and runs indices until the range is spent; a failing iteration
+  /// is recorded and the next index claimed.
+  void claim() noexcept {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= end) return;
+      try {
+        (*body)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex);
+        failures.emplace_back(i, std::current_exception());
+      }
+    }
+  }
 };
 
 std::size_t ThreadPool::resolveThreadCount() {
@@ -42,9 +95,8 @@ std::size_t ThreadPool::resolveThreadCount() {
 ThreadPool::ThreadPool(std::size_t threads)
     : size_(threads == 0 ? resolveThreadCount() : threads),
       impl_(std::make_unique<Impl>()) {
-  if (size_ < 2) return;  // inline fallback: no threads at all
-  workers_.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
+  workers_.reserve(size_ - 1);
+  for (std::size_t i = 1; i < size_; ++i) {
     workers_.emplace_back([this] { runWorker(); });
   }
 }
@@ -54,116 +106,71 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->stopping = true;
   }
-  impl_->cv.notify_all();
+  impl_->wake.notify_all();
   for (std::thread& w : workers_) w.join();
-  // Inline pools (and the rare job enqueued after stop) drain here.
-  while (!impl_->queue.empty()) {
-    auto task = std::move(impl_->queue.front());
-    impl_->queue.pop_front();
-    task();
-  }
 }
 
 void ThreadPool::runWorker() {
-  tlsInsideWorker = true;
+  tlsInLoop = true;
+  Impl& impl = *impl_;
+  std::uint64_t joined = 0;
+  std::unique_lock<std::mutex> lock(impl.mutex);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(impl_->mutex);
-      impl_->cv.wait(lock, [this] {
-        return impl_->stopping || !impl_->queue.empty();
-      });
-      // Drain-before-join: only exit once the queue is empty, so jobs
-      // pending at shutdown still run.
-      if (impl_->queue.empty()) return;
-      task = std::move(impl_->queue.front());
-      impl_->queue.pop_front();
-    }
-    task();
+    impl.wake.wait(lock, [&] {
+      return impl.stopping || (impl.open && impl.generation != joined);
+    });
+    if (impl.stopping) return;
+    joined = impl.generation;
+    ++impl.inside;
+    lock.unlock();
+    impl.claim();
+    lock.lock();
+    if (--impl.inside == 0 && !impl.open) impl.idle.notify_one();
   }
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> job) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(job));
-  std::future<void> future = task->get_future();
-  if (workers_.empty()) {
-    (*task)();  // single-worker pool: run inline
-    return future;
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->queue.push_back([task] { (*task)(); });
-  }
-  impl_->cv.notify_one();
-  return future;
 }
 
 void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
                              const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
-  const std::size_t range = end - begin;
-  if (workers_.empty() || range == 1 || tlsInsideWorker) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
+  Impl& impl = *impl_;
+  // The flag goes first: a caller inside its own loop already holds `busy`,
+  // and try_lock on a mutex the thread owns is undefined.
+  if (workers_.empty() || end - begin == 1 || tlsInLoop ||
+      !impl.busy.try_lock()) {
+    std::vector<Failure> failures;
+    std::size_t i = begin;
+    while (i < end) {
+      try {
+        for (; i < end; ++i) body(i);
+      } catch (...) {
+        failures.emplace_back(i++, std::current_exception());
+      }
+    }
+    if (!failures.empty()) throwFailures(failures, end - begin);
     return;
   }
 
-  // Each chunk catches into its own slot and counts down a latch this
-  // call owns, so no exception crosses a future: the caller learns that a
-  // chunk ended, and reads its slot, through the latch's mutex, which
-  // ThreadSanitizer sees (a future's wait runs in uninstrumented code).
-  const std::size_t chunks = std::min(size_, range);
-  std::vector<std::exception_ptr> slots(chunks);
-  std::mutex latchMutex;
-  std::condition_variable latchDone;
-  std::size_t pending = chunks;
+  std::lock_guard<std::mutex> owner(impl.busy, std::adopt_lock);
   {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = begin + range * c / chunks;
-      const std::size_t hi = begin + range * (c + 1) / chunks;
-      impl_->queue.push_back([&, lo, hi, c] {
-        try {
-          for (std::size_t i = lo; i < hi; ++i) body(i);
-        } catch (...) {
-          slots[c] = std::current_exception();
-        }
-        // Notify under the lock: the caller may return, destroying the
-        // latch, as soon as it sees pending reach zero.
-        std::lock_guard<std::mutex> latchLock(latchMutex);
-        if (--pending == 0) latchDone.notify_one();
-      });
-    }
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.body = &body;
+    impl.next = begin;
+    impl.end = end;
+    impl.open = true;
+    ++impl.generation;
   }
-  impl_->cv.notify_all();
-
-  // Wait for every chunk before rethrowing, so `body`'s captures stay
-  // alive for stragglers even when an early chunk failed. Every failure is
-  // collected: rethrowing only the first would silently drop the rest.
+  impl.wake.notify_all();
+  tlsInLoop = true;
+  impl.claim();
+  tlsInLoop = false;
+  std::vector<Failure> failures;
   {
-    std::unique_lock<std::mutex> lock(latchMutex);
-    latchDone.wait(lock, [&] { return pending == 0; });
+    std::unique_lock<std::mutex> lock(impl.mutex);
+    impl.open = false;
+    impl.idle.wait(lock, [&] { return impl.inside == 0; });
+    failures.swap(impl.failures);
   }
-  std::vector<std::exception_ptr> failures;
-  for (std::exception_ptr& slot : slots) {
-    if (slot) failures.push_back(std::move(slot));
-  }
-  if (failures.empty()) return;
-  if (failures.size() == 1) std::rethrow_exception(failures.front());
-
-  std::string message = "parallelFor: " + std::to_string(failures.size()) +
-                        " of " + std::to_string(chunks) + " chunks failed";
-  constexpr std::size_t kMaxQuoted = 3;
-  for (std::size_t i = 0; i < std::min(failures.size(), kMaxQuoted); ++i) {
-    try {
-      std::rethrow_exception(failures[i]);
-    } catch (const std::exception& e) {
-      message += std::string("; [") + std::to_string(i) + "] " + e.what();
-    } catch (...) {
-      message += std::string("; [") + std::to_string(i) + "] <non-standard>";
-    }
-  }
-  if (failures.size() > kMaxQuoted) message += "; ...";
-  throw ParallelForError(std::move(message), failures.size());
+  if (!failures.empty()) throwFailures(failures, end - begin);
 }
 
 namespace {

@@ -1,28 +1,26 @@
 #pragma once
 
 /// \file thread_pool.h
-/// Shared worker pool driving the simulation hot paths (beat-signal
-/// synthesis, range FFT + beamforming, multipath image expansion).
+/// Fork-join pool driving the simulation hot paths (beat-signal
+/// synthesis, range FFT + beamforming, multipath image expansion, the
+/// fleet's per-scenario epochs).
 ///
 /// Determinism contract (DESIGN.md Sec. 8). The pool never owns
 /// randomness and never influences numeric results: callers hand it
 /// index ranges whose iterations write to disjoint outputs, and every
 /// random draw inside a parallel region comes from a counter-based
-/// stream keyed by the loop index (common/det_hash.h), not from a shared
-/// sequential engine. Output is therefore bit-identical at any thread
-/// count, including the inline single-thread fallback.
+/// stream keyed by the loop index (common/det_hash.h). Output is
+/// therefore bit-identical at any thread count.
 ///
-/// Sizing. A default-constructed pool takes its worker count from the
-/// `RFP_THREADS` environment variable when set (clamped to [1, 256];
-/// anything but a positive decimal count -- a sign, zero, trailing text --
-/// is ignored, common/env_count.h), else
-/// `std::thread::hardware_concurrency`.
-/// With one worker no threads are spawned at all and every job runs
-/// inline on the calling thread.
+/// Sizing. A pool of n threads counts the caller of parallelFor, which
+/// works alongside n - 1 workers. A default-constructed pool takes n from
+/// the `RFP_THREADS` environment variable when set (clamped to [1, 256];
+/// anything but a positive decimal count is ignored, common/env_count.h),
+/// else `std::thread::hardware_concurrency`. At n = 1 no thread is
+/// spawned and every loop runs inline.
 
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -31,70 +29,62 @@
 
 namespace rfp::common {
 
-/// Thrown by parallelFor when more than one chunk failed. The single-failure
-/// case rethrows the original exception unchanged (type-preserving); with
-/// several failures the first alone would silently swallow the rest, so they
-/// are aggregated here with an explicit count and the first few reasons.
+/// Thrown by parallelFor when more than one iteration failed (one failure
+/// rethrows its own exception): the count and the first few reasons in
+/// index order, so no failure is dropped silently.
 class ParallelForError : public std::runtime_error {
  public:
   ParallelForError(std::string message, std::size_t failureCount)
       : std::runtime_error(std::move(message)), failureCount_(failureCount) {}
 
-  /// Number of chunks that threw (>= 2 by construction).
+  /// Number of iterations that threw (>= 2 by construction).
   std::size_t failureCount() const { return failureCount_; }
 
  private:
   std::size_t failureCount_;
 };
 
-/// Fixed-size shared-queue worker pool.
-///
-/// Thread-safety: submit() and parallelFor() may be called concurrently
-/// from different threads; construction, destruction, and the global-pool
-/// management calls (setGlobalThreads) must not race with job submission.
+/// Fork-join pool that runs one loop at a time. parallelFor() may be
+/// called from several threads at once (a call that finds the pool busy
+/// runs inline); construction, destruction and setGlobalThreads must not
+/// race with a loop.
 class ThreadPool {
  public:
-  /// Creates \p threads workers; 0 means resolveThreadCount(). A pool of
-  /// size 1 spawns no threads and runs all work inline.
+  /// A pool of \p threads threads, the caller included; 0 means
+  /// resolveThreadCount(). A pool of size 1 spawns no threads.
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Drains every job still queued, then joins the workers. Pending jobs
-  /// submitted before destruction are guaranteed to run.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of workers (>= 1).
+  /// Number of threads a loop runs on, the caller included (>= 1).
   std::size_t size() const { return size_; }
 
-  /// Enqueues one job. The returned future rethrows any exception the job
-  /// raised. With a single-worker pool the job runs inline before return.
-  std::future<void> submit(std::function<void()> job);
-
-  /// Runs body(i) for every i in [begin, end), statically chunked across
-  /// the workers, and blocks until all iterations finished. Iterations
-  /// must write to disjoint state. Exceptions are aggregated after every
-  /// chunk has settled: one failing chunk rethrows its original exception
-  /// unchanged; several failing chunks throw ParallelForError carrying the
-  /// failure count (no failure is dropped silently). Runs inline
-  /// (deterministically, in index order) when the
-  /// pool has one worker, the range is a single index, or the caller is
-  /// itself a pool worker (nested parallelism degrades to serial instead
-  /// of deadlocking).
+  /// Runs body(i) for every i in [begin, end) and returns when all have
+  /// finished. Iterations must write to disjoint state. The caller and the
+  /// workers claim indices one at a time, so none queues behind a slow one.
+  /// Every iteration runs even after another failed, and the failures are
+  /// reported the same at every pool size (see ParallelForError). Runs
+  /// inline, in index order, when the pool has one thread, the range is one
+  /// index, the calling thread is already running pool iterations (nested
+  /// loops degrade to serial instead of deadlocking), or another caller's
+  /// loop holds the pool.
   void parallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& body);
 
-  /// Worker count a default-constructed pool would use: `RFP_THREADS`
+  /// Thread count a default-constructed pool would use: `RFP_THREADS`
   /// when set and parsable, else hardware_concurrency, floored at 1.
   static std::size_t resolveThreadCount();
 
   /// Process-wide pool shared by the simulation hot paths. Created on
-  /// first use with resolveThreadCount() workers; concurrent first calls
+  /// first use with resolveThreadCount() threads; concurrent first calls
   /// see one pool. After that a call is one atomic load, no lock.
   static ThreadPool& global();
 
-  /// Replaces the global pool with one of \p threads workers (0 =
+  /// Replaces the global pool with one of \p threads threads (0 =
   /// re-resolve from the environment). Joins the old pool first; must not
   /// be called while other threads use the global pool. Intended for
   /// benches and tests that sweep thread counts.

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "common/cpuid.h"
-#include "common/env_count.h"
 #include "common/thread_pool.h"
 #include "linalg/gemm_kernels.h"
 
@@ -49,17 +47,9 @@ MicroKernelEntry microKernelForLevel(KernelLevel level) {
 }
 
 /// N-dimension block size: how many output columns share one packed B
-/// panel. Tunable via RFP_GEMM_NC (rounded up to a multiple of the active
-/// level's nr, clamped to [nr, 8192]); perf-only, never affects results.
-std::size_t resolveNc(std::size_t nrMax) {
-  static const std::size_t raw = [] {
-    const auto parsed = rfp::common::envPositiveCount("RFP_GEMM_NC");
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(parsed.value_or(256), 8192));
-  }();
-  const std::size_t rounded = ((raw + nrMax - 1) / nrMax) * nrMax;
-  return std::clamp<std::size_t>(rounded, nrMax, 8192);
-}
+/// panel. A multiple of every level's nr; N-blocking never splits K, so it
+/// moves no bit.
+constexpr std::size_t kNc = 256;
 
 /// Packs op(A) rows [i0, i0+mr) into ap as K consecutive mrMax-wide column
 /// slivers: ap[k * mrMax + ir] = op(A)(i0 + ir, k). Lanes ir >= mr are
@@ -133,14 +123,13 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
   const std::size_t ldc = n;
   double* cBase = c.data().data();
   const std::size_t rowPanels = (m + mrMax - 1) / mrMax;
-  const std::size_t nc = resolveNc(nrMax);
 
   auto& pool = common::ThreadPool::global();
   const bool parallel =
       pool.size() > 1 && rowPanels > 1 && 2 * m * n * kDim >= kParallelFlops;
 
-  for (std::size_t j0 = 0; j0 < n; j0 += nc) {
-    const std::size_t jb = std::min(nc, n - j0);
+  for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
+    const std::size_t jb = std::min(kNc, n - j0);
     packB(tlsBPack, b, transB, j0, jb, kDim, nrMax);
     const double* bPack = tlsBPack.data();
     const std::size_t colPanels = (jb + nrMax - 1) / nrMax;

@@ -18,7 +18,7 @@
 /// Determinism note: cache blocking deliberately never splits K. Splitting
 /// K would accumulate partial sums into C in a different order than the
 /// reference kernel and break the bit-identity contract; blocking over M
-/// (row panels across threads) and N (column panels, RFP_GEMM_NC) leaves
+/// (row panels across threads) and N (256-column panels) leaves
 /// every element's accumulation order untouched.
 ///
 /// ISA dispatch (DESIGN.md Sec. 13). The micro-tile is a cpuid-dispatched

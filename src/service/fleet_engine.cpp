@@ -277,16 +277,19 @@ void FleetEngine::admitFromQueue(std::uint64_t round) {
   }
 }
 
-void FleetEngine::ensureJob(Slot& slot) {
-  if (slot.job != nullptr) return;
-  // Lazy construction inside the containment boundary: a poison
-  // scenario file FAILs here with the loader's source:line message.
+std::unique_ptr<ScenarioJob> FleetEngine::buildJob(const Slot& slot) const {
   auto job = makeSpoofScenarioJob(slot.scenarioText, slot.name, slot.jobSeed,
                                   config_.epochFrames);
   if (!slot.chaos.empty()) {
     job = makeFaultableJob(std::move(job), slot.chaos);
   }
-  slot.job = std::move(job);
+  return job;
+}
+
+void FleetEngine::ensureJob(Slot& slot) {
+  // Lazy construction inside the containment boundary: a poison
+  // scenario file FAILs here with the loader's source:line message.
+  if (slot.job == nullptr) slot.job = buildJob(slot);
 }
 
 void FleetEngine::runOneEpoch(Slot& slot) noexcept {
@@ -529,6 +532,10 @@ std::vector<EpochMetrics> FleetEngine::metricsSince(
 
 void FleetEngine::pushMetric(Slot& slot, const EpochMetrics& m) {
   slot.pendingMetrics.push_back(m);
+  retainMetric(slot, m);
+}
+
+void FleetEngine::retainMetric(Slot& slot, const EpochMetrics& m) const {
   slot.history.push_back(m);
   const std::size_t cap = config_.durability.retainMetricsEpochs;
   if (cap > 0 && slot.history.size() > cap) {
@@ -778,19 +785,11 @@ std::uint64_t FleetEngine::reExecuteSlots(
     Slot* slot = work[i].first;
     const std::uint64_t target = work[i].second;
     try {
-      auto job = makeSpoofScenarioJob(slot->scenarioText, slot->name,
-                                      slot->jobSeed, config_.epochFrames);
-      if (!slot->chaos.empty()) {
-        job = makeFaultableJob(std::move(job), slot->chaos);
-      }
+      auto job = buildJob(*slot);
       slot->history.clear();
-      const std::size_t cap = config_.durability.retainMetricsEpochs;
       for (std::uint64_t e = 0; e < target; ++e) {
         EpochContext ctx(config_.epochWorkBudget);
-        slot->history.push_back(job->runEpoch(ctx));
-        if (cap > 0 && slot->history.size() > cap) {
-          slot->history.erase(slot->history.begin());
-        }
+        retainMetric(*slot, job->runEpoch(ctx));
       }
       if (!isTerminal(slot->state)) slot->job = std::move(job);
     } catch (const std::exception& e) {

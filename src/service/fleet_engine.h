@@ -227,8 +227,11 @@ class FleetEngine {
   void ledgerTier(std::uint64_t round, AdmissionTier tier,
                   std::string reason);
   void admitFromQueue(std::uint64_t round);
+  /// A fresh job for \p slot's scenario, wrapped in its chaos schedule;
+  /// a poison scenario file throws the loader's diagnostic.
+  std::unique_ptr<ScenarioJob> buildJob(const Slot& slot) const;
   /// Lazily constructs the slot's job (inside the caller's containment
-  /// boundary; a poison scenario file throws the loader's diagnostic).
+  /// boundary).
   void ensureJob(Slot& slot);
   /// One epoch of \p slot's job, the work unit of step()'s per-scenario
   /// pool fan-out, behind the containment ladder: stages the outcome (a
@@ -241,6 +244,9 @@ class FleetEngine {
 
   // Durability plumbing (all no-ops when durability is off or degraded).
   void pushMetric(Slot& slot, const EpochMetrics& m);
+  /// Appends \p m to the slot's history, capped at
+  /// durability.retainMetricsEpochs (oldest dropped first).
+  void retainMetric(Slot& slot, const EpochMetrics& m) const;
   void formatDurability();
   std::vector<JournalLedgerEntry> ledgerEntriesSince(std::size_t mark) const;
   void journalSafely(const JournalRecord& record, bool sync);

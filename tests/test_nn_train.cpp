@@ -410,9 +410,10 @@ std::vector<trajectory::Trace> syntheticDataset(std::size_t count,
 }
 
 TEST(TrainHotPath, SteadyStateAdvanceMakesNoHeapAllocations) {
-  // One pool thread: the measured advance must run inline (a pooled task
-  // submission allocates a task node, and that is fine -- the contract is
-  // about the single-thread hot path; parallel dispatch is perf-opt-in).
+  // One pool thread: the measured advance must run inline (a pooled GEMM
+  // hands its row-panel body to parallelFor as a std::function, which may
+  // allocate, and that is fine -- the contract is about the single-thread
+  // hot path; parallel dispatch is perf-opt-in).
   rfp::common::ThreadPool::setGlobalThreads(1);
   rfp::common::Rng dataRng(42);
   const auto dataset = syntheticDataset(16, 10, dataRng);

@@ -1,8 +1,8 @@
 /// \file test_parallel.cpp
 /// The parallel simulation engine's determinism contract (DESIGN.md
-/// Sec. 8): thread-pool mechanics (sizing, shutdown, exceptions), bit
-/// identity of radar frames / range-angle maps / environment snapshots at
-/// any thread count, and the steering/twiddle cache behavior.
+/// Sec. 8): thread-pool mechanics (sizing, index claiming, failures,
+/// nesting), bit identity of radar frames / range-angle maps / environment
+/// snapshots at any thread count, and the steering/twiddle cache behavior.
 
 #include <atomic>
 #include <chrono>
@@ -113,19 +113,54 @@ TEST(ThreadPool, RfpThreadsEnvOverridesAndFallsBackToOne) {
   }
 }
 
-TEST(ThreadPool, ShutdownRunsPendingJobs) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 16; ++i) {
-      pool.submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        ran.fetch_add(1);
-      });
-    }
-    // Destructor must drain the queue, not drop it.
+/// Spins until \p done holds or ten seconds pass, and says which. Tests
+/// that need iterations to overlap wait through this, so a pool that runs
+/// them one after another fails instead of hanging.
+template <class Done>
+bool waitFor(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
   }
-  EXPECT_EQ(ran.load(), 16);
+  return true;
+}
+
+TEST(ThreadPool, CallerAndWorkerRunTwoIterationsAtOnce) {
+  // A 2-thread pool is the caller plus one worker. Two iterations that
+  // each wait for the other finish only if each thread runs one.
+  ThreadPool pool(2);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread::id> ran(2);
+  std::vector<char> met(2, 0);
+  pool.parallelFor(0, 2, [&](std::size_t i) {
+    ran[i] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    met[i] = waitFor([&] { return arrived.load() == 2; });
+  });
+  EXPECT_TRUE(met[0] && met[1]);
+  EXPECT_NE(ran[0], ran[1]);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_TRUE(ran[0] == caller || ran[1] == caller);
+}
+
+TEST(ThreadPool, SlowIterationDoesNotHoldBackLaterOnes) {
+  // Index 0 waits until every later index has run. Claimed one at a time,
+  // they run on the other thread meanwhile; a static chunk would queue
+  // indices 1-3 behind index 0 on one thread.
+  ThreadPool pool(2);
+  constexpr std::size_t kN = 8;
+  std::atomic<std::size_t> later{0};
+  bool met = false;
+  pool.parallelFor(0, kN, [&](std::size_t i) {
+    if (i == 0) {
+      met = waitFor([&] { return later.load() == kN - 1; });
+    } else {
+      later.fetch_add(1);
+    }
+  });
+  EXPECT_TRUE(met);
 }
 
 TEST(ThreadPool, ParallelForPropagatesWorkerExceptions) {
@@ -138,66 +173,102 @@ TEST(ThreadPool, ParallelForPropagatesWorkerExceptions) {
                          if (i == 5) throw std::runtime_error("boom");
                        }),
       std::runtime_error);
-  // The pool survives a throwing job and stays usable.
+  EXPECT_EQ(visited.load(), 64);  // a failure stops no other iteration
+  // The pool survives a throwing iteration and stays usable.
   std::atomic<int> after{0};
   pool.parallelFor(0, 8, [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 8);
 }
 
-TEST(ThreadPool, ParallelForAggregatesMultipleChunkFailures) {
-  // One failure per chunk: with 4 workers and a 64-wide range every chunk
-  // throws, and the old first-exception-only behavior would silently drop
-  // three of them. The aggregate carries the count and stays catchable as
-  // std::runtime_error.
-  ThreadPool pool(4);
-  try {
-    pool.parallelFor(0, 64, [&](std::size_t i) {
-      if (i % 16 == 0) {
-        throw std::invalid_argument("chunk " + std::to_string(i / 16));
-      }
-    });
-    FAIL() << "expected ParallelForError";
-  } catch (const rfp::common::ParallelForError& e) {
-    EXPECT_EQ(e.failureCount(), 4u);
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("4 of 4 chunks failed"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("chunk 0"), std::string::npos) << msg;
+TEST(ThreadPool, FailuresAreTheSameAtEveryPoolSize) {
+  // Every iteration runs even after another failed, so the inline
+  // 1-thread loop reports what a pooled one does: the failure count and
+  // the first three reasons in index order, caught as ParallelForError
+  // (a std::runtime_error); one failure rethrows its own exception.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    std::atomic<std::size_t> ran{0};
+    try {
+      pool.parallelFor(0, 64, [&](std::size_t i) {
+        ran.fetch_add(1);
+        if (i % 16 == 0) {
+          throw std::invalid_argument("index " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "expected ParallelForError at " << threads;
+    } catch (const rfp::common::ParallelForError& e) {
+      EXPECT_EQ(e.failureCount(), 4u) << threads;
+      EXPECT_STREQ(e.what(),
+                   "parallelFor: 4 of 64 iterations failed; [0] index 0; "
+                   "[16] index 16; [32] index 32; ...")
+          << threads;
+    }
+    EXPECT_EQ(ran.load(), 64u) << threads;
+
+    try {
+      pool.parallelFor(0, 64, [&](std::size_t i) {
+        if (i == 37) throw std::invalid_argument("solo");
+      });
+      ADD_FAILURE() << "expected std::invalid_argument at " << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "solo") << threads;
+    }
   }
-
-  // A single failing chunk still rethrows the original exception type.
-  try {
-    pool.parallelFor(0, 64, [&](std::size_t i) {
-      if (i == 3) throw std::invalid_argument("solo");
-    });
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "solo");
-  }
-
-  // Inline execution (1-thread pool) aborts at the first throw by design;
-  // the aggregate path only applies to chunked execution.
-  ThreadPool inlinePool(1);
-  EXPECT_THROW(inlinePool.parallelFor(
-                   0, 8, [](std::size_t) { throw std::runtime_error("x"); }),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitFutureRethrows) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::invalid_argument("bad job"); });
-  EXPECT_THROW(future.get(), std::invalid_argument);
 }
 
 TEST(ThreadPool, NestedParallelForFromWorkerRunsInline) {
+  // The two outer iterations wait for each other, so one nested loop
+  // starts on the worker and one on the caller. Each runs on the thread
+  // that made it, on this pool and on another, instead of waiting on a
+  // pool its thread occupies.
   ThreadPool pool(2);
-  std::atomic<int> inner{0};
-  pool.submit([&] {
-        // A worker re-entering parallelFor must not deadlock waiting on
-        // peers; the nested loop degrades to serial.
-        pool.parallelFor(0, 32, [&](std::size_t) { inner.fetch_add(1); });
-      })
-      .get();
-  EXPECT_EQ(inner.load(), 32);
+  ThreadPool other(4);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread::id> outer(2);
+  std::vector<std::vector<std::thread::id>> inner(
+      2, std::vector<std::thread::id>(32));
+  std::vector<char> met(2, 0);
+  pool.parallelFor(0, 2, [&](std::size_t i) {
+    outer[i] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    met[i] = waitFor([&] { return arrived.load() == 2; });
+    pool.parallelFor(0, 16, [&](std::size_t j) {
+      inner[i][j] = std::this_thread::get_id();
+    });
+    other.parallelFor(16, 32, [&](std::size_t j) {
+      inner[i][j] = std::this_thread::get_id();
+    });
+  });
+  EXPECT_TRUE(met[0] && met[1]);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_TRUE(outer[0] == caller || outer[1] == caller);
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (const std::thread::id& id : inner[i]) EXPECT_EQ(id, outer[i]);
+  }
+}
+
+TEST(ThreadPool, CallerFindingThePoolBusyRunsInline) {
+  // While one caller's loop holds the pool, a second caller's loop runs
+  // on the second caller's thread instead of waiting for the first loop.
+  ThreadPool pool(2);
+  std::atomic<bool> secondDone{false};
+  std::vector<std::thread::id> second(8);
+  std::thread::id secondCaller;
+  bool met = false;
+  pool.parallelFor(0, 2, [&](std::size_t i) {
+    if (i != 0) return;
+    std::thread t([&] {
+      secondCaller = std::this_thread::get_id();
+      pool.parallelFor(0, second.size(), [&](std::size_t j) {
+        second[j] = std::this_thread::get_id();
+      });
+      secondDone.store(true);
+    });
+    met = waitFor([&] { return secondDone.load(); });
+    t.join();
+  });
+  EXPECT_TRUE(met);
+  for (const std::thread::id& id : second) EXPECT_EQ(id, secondCaller);
 }
 
 TEST(ThreadPool, ConcurrentGlobalCallersSeeOnePool) {

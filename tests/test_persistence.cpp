@@ -357,13 +357,15 @@ void expectCrashResumeIdentical(std::size_t crashAfterBatches) {
   gan::TrajectoryGan ganA(tinyG(), tinyD(), tc, ctorA);
   common::Rng trainA(77);
   ganA.train(dataset, trainA);
-  const std::string refPath = tempPath("gan_ref.ckpt");
+  // Every file name carries crashAfterBatches: ctest runs each crash point
+  // as its own process, possibly at the same time.
+  const std::string tag = std::to_string(crashAfterBatches);
+  const std::string refPath = tempPath("gan_ref_" + tag + ".ckpt");
   ganA.save(refPath);
   const std::string reference = common::readFileBytes(refPath);
 
   // Crashed run: same seeds, killed after crashAfterBatches batches.
-  const std::string ckptPath =
-      tempPath("gan_resume_" + std::to_string(crashAfterBatches) + ".ckpt");
+  const std::string ckptPath = tempPath("gan_resume_" + tag + ".ckpt");
   std::remove(ckptPath.c_str());
   std::remove((ckptPath + ".bak").c_str());
   tc.checkpoint.path = ckptPath;
@@ -381,7 +383,7 @@ void expectCrashResumeIdentical(std::size_t crashAfterBatches) {
   common::Rng trainC(555);  // overwritten by the checkpointed stream
   ganC.train(dataset, trainC);
 
-  const std::string resumedPath = tempPath("gan_resumed.ckpt");
+  const std::string resumedPath = tempPath("gan_resumed_" + tag + ".ckpt");
   ganC.save(resumedPath);
   EXPECT_EQ(common::readFileBytes(resumedPath), reference)
       << "resume after crash at batch " << crashAfterBatches
