@@ -40,9 +40,8 @@ inline void printHeader(const std::string& title) {
 
 /// Monotonic wall-clock stopwatch for the scaling/throughput benchmarks.
 /// Elapsed time is reported in *microseconds as a double* (nanosecond tick
-/// under the hood): integer-millisecond reporting truncates per-frame
-/// times under ~1 ms to zero, which hid sub-millisecond speedups in
-/// BENCH_scaling.json.
+/// under the hood): integer-millisecond reporting would truncate
+/// per-frame times under ~1 ms to zero.
 class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file env_count.h
-/// The one parser behind the positive whole-number environment knobs
-/// (`RFP_THREADS`, `RFP_CACHE_MB`). `strtoul` would accept
-/// a leading minus sign and wrap it to a huge count (`RFP_THREADS=-1`
-/// read as the 256-worker clamp); this parser accepts decimal digits
-/// only, so such values are ignored like any other unparsable text.
+/// The parser behind the positive whole-number environment knob
+/// `RFP_THREADS`. `strtoul` would accept a leading minus sign and wrap it
+/// to a huge count (`RFP_THREADS=-1` read as the 256-worker clamp); this
+/// parser accepts decimal digits only, so such values are ignored like
+/// any other unparsable text.
 
 #include <cstdint>
 #include <cstdlib>
@@ -17,7 +17,7 @@ namespace rfp::common {
 /// Parses \p text as a positive decimal count: one or more digits and
 /// nothing else (no sign, no whitespace, no trailing characters), with a
 /// value of at least 1. Returns std::nullopt for null, empty, zero or any
-/// other text. Values beyond std::uint64_t saturate at its maximum; each
+/// other text. Values beyond std::uint64_t saturate at its maximum; the
 /// caller applies its own clamp.
 inline std::optional<std::uint64_t> parsePositiveCount(const char* text) {
   if (text == nullptr || *text == '\0') return std::nullopt;

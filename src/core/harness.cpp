@@ -28,22 +28,12 @@ void combineScatterersInto(std::vector<env::PointScatterer>& out,
                            const env::SnapshotOptions& opts,
                            const std::vector<env::PointScatterer>& injected) {
   environment.snapshotInto(out, t, rng, opts);
-  if (injected.empty()) return;
-
-  // Expand injected-reflection multipath in one parallel batch (pure
-  // geometry), then flatten in injection order -- deterministic at any
-  // thread count. Thread-local scratch: fully rewritten per call, reuse
-  // only spares the per-frame nested allocations.
-  static thread_local std::vector<std::vector<env::PointScatterer>> images;
-  if (opts.includeMultipath) {
-    env::multipathImagesBatchInto(environment.plan(), injected,
-                                  opts.multipathLoss, opts.multipathObserver,
-                                  images);
-  }
-  for (std::size_t i = 0; i < injected.size(); ++i) {
-    out.push_back(injected[i]);
-    if (opts.includeMultipath && injected[i].dynamic) {
-      out.insert(out.end(), images[i].begin(), images[i].end());
+  // Each injected scatterer, then its wall images when it is dynamic.
+  for (const env::PointScatterer& s : injected) {
+    out.push_back(s);
+    if (opts.includeMultipath && s.dynamic) {
+      environment.plan().appendMultipathImages(s, opts.multipathLoss,
+                                               opts.multipathObserver, out);
     }
   }
 }

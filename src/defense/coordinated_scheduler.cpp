@@ -7,7 +7,6 @@
 
 #include "common/constants.h"
 #include "common/det_hash.h"
-#include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "tracking/hungarian.h"
 #include "transport/framing.h"
@@ -120,42 +119,39 @@ void CoordinatedGhostScheduler::resolveAssignments(double t,
   if (covered > 0) {
     // Spoof-fidelity cost of reflector p playing radar r: mean apparent-vs-
     // intended error over sampled trajectory points, solved with a
-    // controller that assumes radar r. Every entry is a pure function of
-    // (panel, radar, trajectory), so the parallel fill is deterministic at
-    // any thread count; a seeded epsilon keeps ties deterministic too.
+    // controller that assumes radar r. A seeded epsilon keeps ties
+    // deterministic.
     linalg::Matrix cost(usable.size(), covered, 0.0);
-    rfp::common::ThreadPool::global().parallelFor(
-        0, usable.size() * covered, [&](std::size_t flat) {
-          const std::size_t p = flat / covered;
-          const std::size_t r = flat % covered;
-          const ReflectorFleet::Reflector& rf = fleet_.at(usable[p]);
-          reflector::ControllerConfig cc = config_.controller;
-          cc.assumedRadarPosition = radars_[r].position;
-          const reflector::ReflectorController controller(
-              rf.panel, reflector::SwitchedReflector(rf.hardware), cc);
-          reflector::ActuationConstraints constraints;
-          constraints.maxSwitchHz = rf.hardware.maxSwitchHz;
-          constraints.maxLinearGain = rf.hardware.maxGain;
-          double sum = 0.0;
-          for (std::size_t k = 0; k < kCostSamples; ++k) {
-            const std::size_t gi =
-                k * (ghostPoints_.size() - 1) / (kCostSamples - 1);
-            const Vec2 g = ghostPoints_[gi];
-            const double tg =
-                startTimeS_ + pointDtS_ * static_cast<double>(gi);
-            const auto cmd = controller.commandForConstrained(g, tg,
-                                                              constraints);
-            if (cmd.has_value() && commandFinite(*cmd)) {
-              sum += distance(controller.apparentWorld(*cmd), g);
-            } else {
-              sum += kInfeasibleCost;
-            }
+    for (std::size_t p = 0; p < usable.size(); ++p) {
+      const ReflectorFleet::Reflector& rf = fleet_.at(usable[p]);
+      reflector::ActuationConstraints constraints;
+      constraints.maxSwitchHz = rf.hardware.maxSwitchHz;
+      constraints.maxLinearGain = rf.hardware.maxGain;
+      for (std::size_t r = 0; r < covered; ++r) {
+        reflector::ControllerConfig cc = config_.controller;
+        cc.assumedRadarPosition = radars_[r].position;
+        const reflector::ReflectorController controller(
+            rf.panel, reflector::SwitchedReflector(rf.hardware), cc);
+        double sum = 0.0;
+        for (std::size_t k = 0; k < kCostSamples; ++k) {
+          const std::size_t gi =
+              k * (ghostPoints_.size() - 1) / (kCostSamples - 1);
+          const Vec2 g = ghostPoints_[gi];
+          const double tg = startTimeS_ + pointDtS_ * static_cast<double>(gi);
+          const auto cmd =
+              controller.commandForConstrained(g, tg, constraints);
+          if (cmd.has_value() && commandFinite(*cmd)) {
+            sum += distance(controller.apparentWorld(*cmd), g);
+          } else {
+            sum += kInfeasibleCost;
           }
-          cost(p, r) = sum / static_cast<double>(kCostSamples) +
-                       1e-9 * rfp::common::hashUniform(
-                                  config_.seed, usable[p],
-                                  1000 + static_cast<std::uint64_t>(r));
-        });
+        }
+        cost(p, r) = sum / static_cast<double>(kCostSamples) +
+                     1e-9 * rfp::common::hashUniform(
+                                config_.seed, usable[p],
+                                1000 + static_cast<std::uint64_t>(r));
+      }
+    }
 
     const std::vector<int> rows = tracking::solveAssignment(cost);
     for (std::size_t p = 0; p < rows.size(); ++p) {

@@ -10,10 +10,10 @@
 ///   1. advance every reflector's health machine (fault belief + link
 ///      watchdog heartbeat),
 ///   2. if the usable set changed, re-solve the reflector->radar
-///      assignment (Hungarian over spoof-fidelity costs, computed on the
-///      shared thread pool; seeded epsilon tie-breaks keep it
-///      deterministic at any thread count) and ledger the decision with
-///      the resulting degrade tier,
+///      assignment (Hungarian over spoof-fidelity costs, filled on the
+///      calling thread; seeded epsilon tie-breaks keep ties
+///      deterministic) and ledger the decision with the resulting
+///      degrade tier,
 ///   3. actuate each assigned reflector over its own control link
 ///      (schedule lookahead, coasting, park-with-fade -- the PR 2 loop,
 ///      one instance per physical reflector),

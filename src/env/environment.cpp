@@ -1,7 +1,5 @@
 #include "env/environment.h"
 
-#include "common/thread_pool.h"
-
 namespace rfp::env {
 
 int Environment::addHuman(TimedPath path, BreathingModel breathing,
@@ -22,52 +20,22 @@ void Environment::snapshotInto(std::vector<PointScatterer>& out, double t,
                                rfp::common::Rng& rng,
                                const SnapshotOptions& opts) const {
   out.clear();
-  // Stochastic draws first, in human order, on the caller's sequential
-  // Rng (the seeded-stream contract); geometry fans out afterwards.
-  // Per-thread scratch: contents are fully rewritten every call, so reuse
-  // cannot leak state between frames (or between scenarios sharing a
-  // worker thread) -- it only spares the per-frame allocations.
-  static thread_local std::vector<PointScatterer> primaries;
-  static thread_local std::vector<std::vector<PointScatterer>> images;
-  primaries.clear();
+  // Each human's draws on the caller's Rng, in human order (the
+  // seeded-stream contract), then its wall images, which are geometry
+  // only. The primary is a local copy: a reference into out would dangle
+  // when the images grow it.
   for (const Human& h : humans_) {
-    primaries.push_back(h.scatterAt(t, rng, opts.rcsJitter));
-  }
-
-  if (opts.includeMultipath) {
-    multipathImagesBatchInto(plan_, primaries, opts.multipathLoss,
-                             opts.multipathObserver, images);
-    for (std::size_t i = 0; i < primaries.size(); ++i) {
-      out.push_back(primaries[i]);
-      out.insert(out.end(), images[i].begin(), images[i].end());
+    const PointScatterer primary = h.scatterAt(t, rng, opts.rcsJitter);
+    out.push_back(primary);
+    if (opts.includeMultipath) {
+      plan_.appendMultipathImages(primary, opts.multipathLoss,
+                                  opts.multipathObserver, out);
     }
-  } else {
-    out.insert(out.end(), primaries.begin(), primaries.end());
   }
 
   if (opts.includeClutter) {
     for (const PointScatterer& c : plan_.clutter()) out.push_back(c);
   }
-}
-
-std::vector<std::vector<PointScatterer>> multipathImagesBatch(
-    const FloorPlan& plan, std::span<const PointScatterer> primaries,
-    double extraLoss, std::optional<rfp::common::Vec2> observer) {
-  std::vector<std::vector<PointScatterer>> images;
-  multipathImagesBatchInto(plan, primaries, extraLoss, observer, images);
-  return images;
-}
-
-void multipathImagesBatchInto(
-    const FloorPlan& plan, std::span<const PointScatterer> primaries,
-    double extraLoss, std::optional<rfp::common::Vec2> observer,
-    std::vector<std::vector<PointScatterer>>& images) {
-  images.resize(primaries.size());
-  rfp::common::ThreadPool::global().parallelFor(
-      0, primaries.size(), [&](std::size_t i) {
-        plan.multipathImagesInto(primaries[i], extraLoss, observer,
-                                 images[i]);
-      });
 }
 
 }  // namespace rfp::env

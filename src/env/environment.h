@@ -5,15 +5,12 @@
 /// per-frame scatterer list the radar front end consumes, including static
 /// clutter and first-order wall multipath.
 ///
-/// Parallelism & determinism (DESIGN.md Sec. 8). Stochastic per-human
-/// draws (RCS jitter) stay sequential on the caller's Rng -- they are part
-/// of the repo-wide seeded-stream contract -- while the purely geometric
-/// multipath image expansion fans out per source on the global thread
-/// pool. Results are concatenated in source order, so snapshots are
-/// bit-identical at any thread count.
+/// Order (DESIGN.md Sec. 8). Each human's stochastic draws (RCS jitter)
+/// come from the caller's Rng in human order -- the repo-wide
+/// seeded-stream contract -- and its wall images, pure geometry, follow
+/// it in the list.
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,8 +52,8 @@ class Environment {
                                        const SnapshotOptions& opts = {}) const;
 
   /// snapshot() into a reused buffer (\p out is cleared first): identical
-  /// contents and RNG consumption, no steady-state allocation when the
-  /// environment has no humans (the fleet scenario's per-frame path).
+  /// contents and RNG consumption, and no allocation once \p out's
+  /// capacity holds the scene (the fleet scenario's per-frame path).
   void snapshotInto(std::vector<PointScatterer>& out, double t,
                     rfp::common::Rng& rng,
                     const SnapshotOptions& opts = {}) const;
@@ -65,24 +62,5 @@ class Environment {
   FloorPlan plan_;
   std::vector<Human> humans_;
 };
-
-/// First-order multipath images of every primary scatterer, expanded in
-/// parallel on the global thread pool (one slot per primary, geometry
-/// only -- no randomness). Slot i holds plan.multipathImages(primaries[i],
-/// extraLoss, observer) in wall order; the batch is deterministic at any
-/// thread count.
-std::vector<std::vector<PointScatterer>> multipathImagesBatch(
-    const FloorPlan& plan, std::span<const PointScatterer> primaries,
-    double extraLoss,
-    std::optional<rfp::common::Vec2> observer = std::nullopt);
-
-/// multipathImagesBatch() into a reused nested buffer: \p images is
-/// resized to primaries.size() and each inner vector keeps its capacity
-/// across frames, so the steady-state per-frame path is allocation-free.
-/// Identical contents to multipathImagesBatch.
-void multipathImagesBatchInto(
-    const FloorPlan& plan, std::span<const PointScatterer> primaries,
-    double extraLoss, std::optional<rfp::common::Vec2> observer,
-    std::vector<std::vector<PointScatterer>>& images);
 
 }  // namespace rfp::env

@@ -78,14 +78,14 @@ std::vector<PointScatterer> FloorPlan::multipathImages(
     const PointScatterer& s, double extraLoss,
     std::optional<Vec2> observer) const {
   std::vector<PointScatterer> images;
-  multipathImagesInto(s, extraLoss, observer, images);
+  appendMultipathImages(s, extraLoss, observer, images);
   return images;
 }
 
-void FloorPlan::multipathImagesInto(const PointScatterer& s, double extraLoss,
-                                    std::optional<Vec2> observer,
-                                    std::vector<PointScatterer>& out) const {
-  out.clear();
+void FloorPlan::appendMultipathImages(const PointScatterer& s,
+                                      double extraLoss,
+                                      std::optional<Vec2> observer,
+                                      std::vector<PointScatterer>& out) const {
   for (std::size_t i = 0; i < walls_.size(); ++i) {
     const Wall& w = walls_[i];
     if (w.reflectivity <= 0.0) continue;

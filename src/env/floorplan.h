@@ -77,12 +77,12 @@ class FloorPlan {
       const PointScatterer& s, double extraLoss = 1.0,
       std::optional<rfp::common::Vec2> observer = std::nullopt) const;
 
-  /// multipathImages() into a reused buffer (\p out is cleared first):
-  /// identical contents, no steady-state allocation once \p out has
-  /// warmed to the wall count.
-  void multipathImagesInto(const PointScatterer& s, double extraLoss,
-                           std::optional<rfp::common::Vec2> observer,
-                           std::vector<PointScatterer>& out) const;
+  /// Appends multipathImages() to \p out, which allocates nothing once
+  /// its capacity holds the images. \p s must not refer into \p out: a
+  /// growing \p out would move it.
+  void appendMultipathImages(const PointScatterer& s, double extraLoss,
+                             std::optional<rfp::common::Vec2> observer,
+                             std::vector<PointScatterer>& out) const;
 
   /// The paper's office: 10 x 6.6 m, metallic cabinets (strong clutter,
   /// high-reflectivity wall sections -> more multipath).

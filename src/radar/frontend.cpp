@@ -8,7 +8,6 @@
 #include "common/constants.h"
 #include "common/cpuid.h"
 #include "common/det_hash.h"
-#include "common/thread_pool.h"
 #include "radar/simd_kernels.h"
 #include "radar/tone_memo.h"
 #include "signal/noise.h"
@@ -140,19 +139,16 @@ void Frontend::synthesizeInto(Frame& frame,
     count += nonzero ? 1 : 0;
   }
 
-  // Each antenna owns its sample buffer and adds its chains in list order
-  // in one kernel call, so the result is bit-identical at any thread
-  // count.
-  rfp::common::ThreadPool::global().parallelFor(
-      0, numAntennas, [&](std::size_t k) {
-        std::vector<Complex>& dst = frame.samples[k];
-        accumChains(dst.data(), numSamples, chains.data() + k * stride,
-                    count);
-        if (config_.noisePower > 0.0) {
-          rfp::signal::addAwgn(dst, config_.noisePower, noiseSeed,
-                               chirpIndex, /*stream=*/k);
-        }
-      });
+  // Each antenna adds its chains in list order in one kernel call, then
+  // its own noise stream.
+  for (std::size_t k = 0; k < numAntennas; ++k) {
+    std::vector<Complex>& dst = frame.samples[k];
+    accumChains(dst.data(), numSamples, chains.data() + k * stride, count);
+    if (config_.noisePower > 0.0) {
+      rfp::signal::addAwgn(dst, config_.noisePower, noiseSeed, chirpIndex,
+                           /*stream=*/k);
+    }
+  }
 }
 
 void applyAdcSaturation(Frame& frame, double clipLevel) {

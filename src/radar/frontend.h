@@ -12,14 +12,13 @@
 /// far field. RF-Protect's switching adds `beatFreqOffsetHz` to the tone and
 /// its phase shifter adds `phaseOffsetRad` (paper Eq. 3 / Sec. 5.3).
 ///
-/// Parallelism & determinism (DESIGN.md Sec. 8). Each scatterer's
-/// per-antenna tone chains are resolved on the calling thread; synthesis
-/// then fans out across antennas on the global thread pool, and each
+/// Determinism (DESIGN.md Sec. 8). A frame runs on the calling thread:
+/// each scatterer's per-antenna tone chains are resolved first, then each
 /// antenna adds its scatterer tones in list order into its own sample
-/// buffer, so the frame is bit-identical at any thread count. Receiver noise comes from
-/// counter-based streams keyed (noiseSeed, chirpIndex, antenna, sample)
-/// rather than a shared sequential engine -- the Rng overload merely draws
-/// one 64-bit per-chirp seed on the calling thread and delegates.
+/// buffer. Receiver noise comes from counter-based streams keyed
+/// (noiseSeed, chirpIndex, antenna, sample) rather than a shared
+/// sequential engine -- the Rng overload merely draws one 64-bit
+/// per-chirp seed and delegates.
 
 #include <cstdint>
 #include <span>
@@ -36,9 +35,8 @@ class ToneMemo;
 
 /// Beat-signal synthesizer for a configured radar.
 ///
-/// Thread-safety: const and internally synchronized -- synthesize() may be
-/// called concurrently from different threads (each call parallelizes
-/// internally; nested calls from pool workers degrade to serial).
+/// Thread-safety: const -- synthesize() may be called concurrently from
+/// different threads, each with its own frame and memo.
 class Frontend {
  public:
   explicit Frontend(RadarConfig config);
@@ -56,7 +54,7 @@ class Frontend {
 
   /// Fully deterministic variant: noise sample n of antenna k is a pure
   /// function of (\p noiseSeed, \p chirpIndex, k, n). Two calls with equal
-  /// arguments return bit-identical frames at any thread count; callers
+  /// arguments return bit-identical frames; callers
   /// iterating a chirp sequence should pass the running chirp index so
   /// successive frames draw independent noise.
   Frame synthesize(std::span<const env::PointScatterer> scatterers,
@@ -68,8 +66,8 @@ class Frontend {
   /// non-null \p memo each scatterer's per-antenna tone-chain starts are
   /// memoized across frames and a steady-state caller performs no
   /// allocation; without one every chain is computed. The frame is
-  /// bit-identical either way, at any thread count (tone_memo.h). A memo
-  /// must not be shared by concurrent calls.
+  /// bit-identical either way (tone_memo.h). A memo must not be shared by
+  /// concurrent calls.
   void synthesizeInto(Frame& frame,
                       std::span<const env::PointScatterer> scatterers,
                       double timestampS, std::uint64_t noiseSeed,

@@ -13,7 +13,6 @@
 #include "common/cache_budget.h"
 #include "common/constants.h"
 #include "common/cpuid.h"
-#include "common/thread_pool.h"
 #include "radar/simd_kernels.h"
 #include "signal/fft.h"
 
@@ -40,9 +39,9 @@ namespace {
 /// wavelength (doubles compared by exact bit pattern, so any config change
 /// resolves to a fresh entry rather than a stale one). Entries are
 /// immutable and shared across Processor instances and threads; least
-/// recently used entries are evicted once the steering half of the
-/// RFP_CACHE_MB budget is exceeded (eviction is safe because instances
-/// hold shared_ptr references).
+/// recently used entries are evicted once the steering half of the cache
+/// budget is exceeded (eviction is safe because instances hold shared_ptr
+/// references).
 using SteeringKey = std::tuple<std::size_t, int, std::uint64_t, std::uint64_t>;
 
 struct SteeringSlot {
@@ -101,7 +100,7 @@ std::shared_ptr<const SteeringMatrix> steeringFor(
                                         0})
              .first;
     steeringCacheBytes += steeringBytes(key);
-    const std::size_t cap = rfp::common::cacheBudgetBytes() / 2;
+    const std::size_t cap = rfp::common::kCacheBudgetBytes / 2;
     while (steeringCacheBytes > cap && cache.size() > 1) {
       auto victim = cache.end();
       for (auto jt = cache.begin(); jt != cache.end(); ++jt) {
@@ -252,35 +251,26 @@ void Processor::processInto(const Frame& frame, RangeAngleMap& out,
   const std::size_t numAngles = options_.numAngleBins;
   const std::size_t nAnt = static_cast<std::size_t>(config_.numAntennas);
 
-  scratch.fft.resize(nAnt * fftSize_);
+  scratch.fft.resize(fftSize_);
   scratch.spectraT.resize(numRanges * nAnt);
 
-  // One independent window + FFT per antenna; each iteration writes its
-  // own stacked slice and its own transposed column, so the fan-out is
-  // deterministic at any thread count. The transpose makes the
+  // Window + range FFT of each antenna in turn through the one FFT slot;
+  // each writes its own column of the transposed spectra, which makes the
   // beamforming dot stream unit-stride.
-  rfp::common::ThreadPool::global().parallelFor(0, nAnt, [&](std::size_t k) {
-    fftAntennaInto(frame, k, scratch.fft.data() + k * fftSize_,
-                   scratch.spectraT.data());
-  });
+  for (std::size_t k = 0; k < nAnt; ++k) {
+    fftAntennaInto(frame, k, scratch.fft.data(), scratch.spectraT.data());
+  }
 
-  // Beamform in groups of kRowsPerTask range rows: each group writes its
-  // own disjoint rows of out.power, and each row keeps a fixed antenna
-  // accumulation order (paper Eq. 2, using the cached steering matrix)
-  // whatever group it falls in. The rows sweep runs through the
-  // cpuid-selected kernel (DESIGN.md Sec. 13), resolved once per frame.
-  constexpr std::size_t kRowsPerTask = 4;
+  // Eq. 2 over every range row in one call through the cpuid-selected
+  // kernel (DESIGN.md Sec. 13), using the cached steering matrix. Each row
+  // keeps a fixed antenna accumulation order, and the kernel's own row
+  // grouping does not change a row's bits.
   const detail::BeamformRowsFn beamformRows =
       detail::beamformRowsForLevel(rfp::common::simd::activeKernelLevel());
   const SteeringMatrix& steering = *steering_;
-  rfp::common::ThreadPool::global().parallelFor(
-      0, (numRanges + kRowsPerTask - 1) / kRowsPerTask, [&](std::size_t g) {
-        const std::size_t r = g * kRowsPerTask;
-        beamformRows(&scratch.spectraT[r * nAnt],
-                     std::min(kRowsPerTask, numRanges - r), steering.w.data(),
-                     steering.reT.data(), steering.imT.data(), nAnt,
-                     numAngles, &out.power[r * numAngles]);
-      });
+  beamformRows(scratch.spectraT.data(), numRanges, steering.w.data(),
+               steering.reT.data(), steering.imT.data(), nAnt, numAngles,
+               out.power.data());
 }
 
 RangeAngleMap Processor::process(const Frame& frame) const {

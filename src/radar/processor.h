@@ -7,21 +7,20 @@
 ///   3. Eq. 2 beamforming across the array -> range-angle power profile.
 /// Peaks in the profile represent human (or phantom) motion.
 ///
-/// Parallelism & determinism (DESIGN.md Sec. 8). process() fans the
-/// per-antenna range FFTs and then the beamforming of groups of range
-/// rows out on the global thread pool; every row writes disjoint cells of
-/// the output map with a fixed accumulation order, so maps are
-/// bit-identical at any thread count. The Eq. 2 steering matrix is resolved once per
-/// (numAngles, numAntennas, spacing, wavelength) tuple from a process-wide
-/// immutable cache (repeated frames -- and repeated Processor
-/// constructions in sweep harnesses -- stop re-deriving it), and the range
-/// FFT holds the signal-layer plan for its fftSize (twiddles and the
-/// bit-reversal table). Both come from LRU caches bounded by the
-/// RFP_CACHE_MB budget (common/cache_budget.h) and are resolved once, in
+/// A frame runs on the calling thread (DESIGN.md Sec. 8): one range FFT
+/// per antenna, then one beamforming kernel call over every range row,
+/// each row with a fixed accumulation order. The Eq. 2 steering matrix is
+/// resolved once per (numAngles, numAntennas, spacing, wavelength) tuple
+/// from a process-wide immutable cache (repeated frames -- and repeated
+/// Processor constructions in sweep harnesses -- stop re-deriving it),
+/// and the range FFT holds the signal-layer plan for its fftSize
+/// (twiddles and the bit-reversal table). Both come from LRU caches under
+/// a fixed byte budget (common/cache_budget.h) and are resolved once, in
 /// the constructor, so process() takes no cache lock.
 ///
 /// Zero-allocation path. processInto() + ProcessorScratch expose the same
-/// pipeline on caller-owned storage.
+/// pipeline on caller-owned storage; a steady-state frame allocates
+/// nothing.
 
 #include <cstddef>
 #include <memory>
@@ -76,12 +75,12 @@ struct ProcessorOptions {
   double minRangeM = 0.3;         ///< rows below this are dropped
 };
 
-/// Reusable workspace for processInto(): the stacked per-antenna FFT
-/// buffer and the [range][antenna] transposed spectra. Pass the same
-/// instance across frames to run the pipeline allocation-free after the
-/// first call. One scratch per concurrent caller.
+/// Reusable workspace for processInto(): one fftSize FFT slot, reused
+/// for each antenna, and the [range][antenna] transposed spectra. Pass
+/// the same instance across frames to run the pipeline allocation-free
+/// after the first call. One scratch per concurrent caller.
 struct ProcessorScratch {
-  std::vector<Complex> fft;       ///< [antenna][fftSize], row-major
+  std::vector<Complex> fft;       ///< [fftSize], one antenna at a time
   std::vector<Complex> spectraT;  ///< [range][antenna], row-major
 };
 
@@ -100,7 +99,6 @@ class Processor {
   const ProcessorOptions& options() const { return options_; }
 
   /// Range-angle map of a frame without background subtraction.
-  /// Deterministic: bit-identical output at any thread count.
   RangeAngleMap process(const Frame& frame) const;
 
   /// process() onto caller-owned storage: \p out's vectors and \p scratch
@@ -144,9 +142,10 @@ class Processor {
   /// reuse capacity); shape-checks \p frame against the config.
   void prepareMap(const Frame& frame, RangeAngleMap& out) const;
 
-  /// Window + range FFT of antenna \p k into the fftSize_-long slice
-  /// \p fftSlot (signal::fftWindowedInto), scattering the kept rows into
-  /// column \p k of the [range][antenna] buffer \p spectraT.
+  /// Window + range FFT of antenna \p k into the fftSize_-long slot
+  /// \p fftSlot (signal::fftWindowedInto rewrites all of it), copying the
+  /// kept rows into column \p k of the [range][antenna] buffer
+  /// \p spectraT.
   void fftAntennaInto(const Frame& frame, std::size_t k, Complex* fftSlot,
                       Complex* spectraT) const;
 
@@ -170,7 +169,7 @@ class Processor {
 
 /// Number of distinct steering matrices currently cached process-wide
 /// (test/introspection hook for the cache keyed on numAngles, numAntennas,
-/// spacing, and wavelength; LRU-bounded to half the RFP_CACHE_MB budget).
+/// spacing, and wavelength; LRU-bounded to half of kCacheBudgetBytes).
 std::size_t steeringCacheEntries();
 
 }  // namespace rfp::radar

@@ -1,48 +1,8 @@
 #include "transport/control_link.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/det_hash.h"
 
 namespace rfp::transport {
-
-namespace {
-
-using rfp::common::hashBits;
-using rfp::common::hashUniform;
-
-// Channel stream ids. Each retransmission attempt gets its own stream
-// (base + attempt * stride) so attempts draw independently; the stride keeps
-// them clear of the fault schedule's per-frame streams (11..15).
-constexpr std::uint64_t kStreamLoss = 21;
-constexpr std::uint64_t kStreamCorrupt = 22;
-constexpr std::uint64_t kStreamCorruptBit = 23;
-constexpr std::uint64_t kStreamReorder = 24;
-constexpr std::uint64_t kStreamAckLoss = 25;
-constexpr std::uint64_t kStreamBackoffJitter = 26;
-constexpr std::uint64_t kAttemptStride = 0x65;
-
-std::uint64_t attemptStream(std::uint64_t stream, int attempt) {
-  return stream + kAttemptStride * static_cast<std::uint64_t>(attempt);
-}
-
-}  // namespace
-
-void LinkStats::accumulate(const LinkStats& o) {
-  attempts += o.attempts;
-  retransmissions += o.retransmissions;
-  timeouts += o.timeouts;
-  framesDelivered += o.framesDelivered;
-  framesMissed += o.framesMissed;
-  lostInFlight += o.lostInFlight;
-  corruptedDetected += o.corruptedDetected;
-  reordersRejected += o.reordersRejected;
-  duplicatesRejected += o.duplicatesRejected;
-  coastFrames += o.coastFrames;
-  parkedFrames += o.parkedFrames;
-  reacquisitions += o.reacquisitions;
-}
 
 bool LinkWatchdog::onDelivery(std::uint64_t) {
   const bool reacquired = state_ == LinkState::kParked;
@@ -78,98 +38,8 @@ TransferResult GhostControlLink::transfer(std::uint64_t frameIdx,
                                           const ControlFrame& frame,
                                           const ChannelCondition& condition,
                                           double frameDtS) {
-  TransferResult result;
-  const std::string encoded = encodeFrame(frame);
-  const double budgetS = config_.timeoutBudgetFrac * frameDtS;
-  double elapsedS = 0.0;
-
-  for (int attempt = 0;; ++attempt) {
-    ++result.attempts;
-    ++stats_.attempts;
-    if (attempt > 0) ++stats_.retransmissions;
-
-    const auto draw = [&](std::uint64_t stream) {
-      return hashUniform(seed_, frameIdx, attemptStream(stream, attempt));
-    };
-
-    bool arrived = true;
-    if (condition.lossProb > 0.0 && draw(kStreamLoss) < condition.lossProb) {
-      ++stats_.lostInFlight;
-      arrived = false;
-    }
-
-    if (arrived) {
-      if (condition.corruptProb > 0.0 &&
-          draw(kStreamCorrupt) < condition.corruptProb) {
-        // Flip a real bit and let the real CRC catch it: the integrity path
-        // is exercised end to end, not assumed.
-        std::string wire = encoded;
-        const std::uint64_t bit =
-            hashBits(seed_, frameIdx, attemptStream(kStreamCorruptBit, attempt)) %
-            (wire.size() * 8);
-        wire[bit / 8] = static_cast<char>(
-            static_cast<unsigned char>(wire[bit / 8]) ^ (1u << (bit % 8)));
-        if (!decodeFrame(wire).has_value()) {
-          ++stats_.corruptedDetected;  // receiver stays silent -> retransmit
-          arrived = false;
-        }
-        // A flip the CRC *would* miss cannot happen for single bits; if the
-        // decode improbably succeeded the frame is genuinely intact.
-      }
-    }
-
-    if (arrived && condition.reorderProb > 0.0 &&
-        draw(kStreamReorder) < condition.reorderProb) {
-      // Delivered out of order: by the time it arrives the receiver has
-      // moved past this sequence number and rejects it as stale.
-      ++stats_.reordersRejected;
-      arrived = false;
-    }
-
-    if (arrived) {
-      auto decoded = decodeFrame(encoded);
-      if (decoded.has_value() &&
-          (!everAccepted_ || decoded->seq > lastAcceptedSeq_)) {
-        lastAcceptedSeq_ = decoded->seq;
-        everAccepted_ = true;
-        result.delivered = true;
-        result.frame = std::move(decoded);
-        ++stats_.framesDelivered;
-        if (condition.duplicateProb > 0.0 &&
-            draw(kStreamAckLoss) < condition.duplicateProb) {
-          // The ack was lost: the sender retransmits once more and the
-          // receiver rejects the duplicate sequence number (and re-acks).
-          ++result.attempts;
-          ++stats_.attempts;
-          ++stats_.retransmissions;
-          ++stats_.duplicatesRejected;
-        }
-        return result;
-      }
-      // Stale/duplicate sequence number (only reachable if a caller reuses
-      // a seq): rejected, retransmission will not help either, but the
-      // budget loop below still terminates.
-      ++stats_.duplicatesRejected;
-      arrived = false;
-    }
-
-    if (attempt >= config_.maxRetries) {
-      ++stats_.timeouts;
-      break;
-    }
-    // Exponential backoff with seeded jitter before the next attempt.
-    const double base = std::min(config_.backoffMaxS,
-                                 config_.backoffBaseS * std::ldexp(1.0, attempt));
-    const double jitter =
-        1.0 + config_.backoffJitterFrac * draw(kStreamBackoffJitter);
-    elapsedS += base * jitter;
-    if (elapsedS > budgetS) {
-      ++stats_.timeouts;
-      break;
-    }
-  }
-  ++stats_.framesMissed;
-  return result;
+  return loop_.transfer(frameIdx, encodeFrame(frame), decodeFrame, condition,
+                        frameDtS);
 }
 
 }  // namespace rfp::transport

@@ -17,7 +17,6 @@
 /// back off exponentially so a dead link is not hammered every frame.
 
 #include <cstdint>
-#include <optional>
 
 #include "transport/framing.h"
 #include "transport/link.h"
@@ -29,24 +28,6 @@ enum class LinkState {
   kLinked,    ///< deliveries arriving; nominal actuation
   kDegraded,  ///< missing frames; coasting on the delivered schedule
   kParked,    ///< link considered down; ghost faded out, re-acquiring
-};
-
-/// Cumulative link/transport counters (per ghost; accumulate() to total).
-struct LinkStats {
-  long attempts = 0;            ///< transmissions, including retransmits
-  long retransmissions = 0;     ///< attempts after the first, per frame
-  long timeouts = 0;            ///< frames whose retry budget ran out
-  long framesDelivered = 0;     ///< frames accepted by the receiver
-  long framesMissed = 0;        ///< frames never accepted in time
-  long lostInFlight = 0;        ///< attempts dropped by the channel
-  long corruptedDetected = 0;   ///< attempts rejected by CRC
-  long reordersRejected = 0;    ///< attempts arriving out of order
-  long duplicatesRejected = 0;  ///< retransmits the receiver deduplicated
-  long coastFrames = 0;         ///< frames actuated from the schedule buffer
-  long parkedFrames = 0;        ///< frames spent parked (fading or dark)
-  long reacquisitions = 0;      ///< PARKED -> LINKED transitions
-
-  void accumulate(const LinkStats& o);
 };
 
 /// Heartbeat watchdog: tracks the miss streak, decides the link state, and
@@ -86,23 +67,16 @@ class LinkWatchdog {
 };
 
 /// Result of one frame's transfer attempt(s).
-struct TransferResult {
-  bool delivered = false;
-  int attempts = 0;
-  /// The frame as the receiver decoded it (bit-identical to the sent one --
-  /// corrupted attempts never survive the CRC).
-  std::optional<ControlFrame> frame;
-};
+using TransferResult = Transfer<ControlFrame>;
 
-/// Per-ghost control link: simulates the attempt loop (loss, corruption
-/// with real bit flips caught by the real CRC, reordering, ack loss ->
-/// duplicates) with exponential backoff under the frame's timeout budget.
+/// Per-ghost control link: the attempt loop (link.h) over ControlFrames,
+/// plus the heartbeat watchdog its caller reports outcomes to.
 /// Deterministic: attempt k of frame f draws from hash(seed, f, k).
 class GhostControlLink {
  public:
   GhostControlLink() = default;
   GhostControlLink(const TransportConfig& config, std::uint64_t seed)
-      : config_(config), seed_(seed), watchdog_(config) {}
+      : watchdog_(config), loop_(config, seed, kStreamBase) {}
 
   /// Tries to deliver \p frame within this actuation frame's budget.
   TransferResult transfer(std::uint64_t frameIdx, const ControlFrame& frame,
@@ -110,16 +84,15 @@ class GhostControlLink {
 
   LinkWatchdog& watchdog() { return watchdog_; }
   const LinkWatchdog& watchdog() const { return watchdog_; }
-  LinkStats& stats() { return stats_; }
-  const LinkStats& stats() const { return stats_; }
+  LinkStats& stats() { return loop_.stats(); }
+  const LinkStats& stats() const { return loop_.stats(); }
 
  private:
-  TransportConfig config_{};
-  std::uint64_t seed_ = 0;
+  /// Channel streams 21..26 at attempt 0.
+  static constexpr std::uint64_t kStreamBase = 21;
+
   LinkWatchdog watchdog_{};
-  LinkStats stats_{};
-  std::uint64_t lastAcceptedSeq_ = 0;
-  bool everAccepted_ = false;
+  AttemptLoop loop_{};
 };
 
 }  // namespace rfp::transport

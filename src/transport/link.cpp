@@ -50,4 +50,19 @@ void TransportConfig::validate() const {
   }
 }
 
+void LinkStats::accumulate(const LinkStats& o) {
+  attempts += o.attempts;
+  retransmissions += o.retransmissions;
+  timeouts += o.timeouts;
+  framesDelivered += o.framesDelivered;
+  framesMissed += o.framesMissed;
+  lostInFlight += o.lostInFlight;
+  corruptedDetected += o.corruptedDetected;
+  reordersRejected += o.reordersRejected;
+  duplicatesRejected += o.duplicatesRejected;
+  coastFrames += o.coastFrames;
+  parkedFrames += o.parkedFrames;
+  reacquisitions += o.reacquisitions;
+}
+
 }  // namespace rfp::transport

@@ -1,18 +1,12 @@
 #include "transport/service_wire.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/crc32.h"
-#include "common/det_hash.h"
 
 namespace rfp::transport {
 
 namespace {
-
-using rfp::common::hashBits;
-using rfp::common::hashUniform;
 
 template <typename T>
 void put(std::string& out, T value) {
@@ -28,21 +22,6 @@ bool get(std::string_view bytes, std::size_t& offset, T* value) {
   std::memcpy(value, bytes.data() + offset, sizeof(T));
   offset += sizeof(T);
   return true;
-}
-
-// Channel stream ids for the service link, disjoint from the fault
-// schedule's per-frame streams (11..15) and the ghost control link's
-// (21..26). Same per-attempt stride scheme as the control link.
-constexpr std::uint64_t kStreamLoss = 31;
-constexpr std::uint64_t kStreamCorrupt = 32;
-constexpr std::uint64_t kStreamCorruptBit = 33;
-constexpr std::uint64_t kStreamReorder = 34;
-constexpr std::uint64_t kStreamAckLoss = 35;
-constexpr std::uint64_t kStreamBackoffJitter = 36;
-constexpr std::uint64_t kAttemptStride = 0x65;
-
-std::uint64_t attemptStream(std::uint64_t stream, int attempt) {
-  return stream + kAttemptStride * static_cast<std::uint64_t>(attempt);
 }
 
 }  // namespace
@@ -97,96 +76,8 @@ ServiceTransferResult ServiceLink::transfer(std::uint64_t messageIdx,
                                             const ServiceFrame& frame,
                                             const ChannelCondition& condition,
                                             double budgetDtS) {
-  ServiceTransferResult result;
-  const std::string encoded = encodeServiceFrame(frame);
-  const double budgetS = config_.timeoutBudgetFrac * budgetDtS;
-  double elapsedS = 0.0;
-
-  for (int attempt = 0;; ++attempt) {
-    ++result.attempts;
-    ++stats_.attempts;
-    if (attempt > 0) ++stats_.retransmissions;
-
-    const auto draw = [&](std::uint64_t stream) {
-      return hashUniform(seed_, messageIdx, attemptStream(stream, attempt));
-    };
-
-    bool arrived = true;
-    if (condition.lossProb > 0.0 && draw(kStreamLoss) < condition.lossProb) {
-      ++stats_.lostInFlight;
-      arrived = false;
-    }
-
-    if (arrived) {
-      if (condition.corruptProb > 0.0 &&
-          draw(kStreamCorrupt) < condition.corruptProb) {
-        // Flip a real bit and let the real CRC catch it: the integrity path
-        // is exercised end to end, not assumed.
-        std::string wire = encoded;
-        const std::uint64_t bit =
-            hashBits(seed_, messageIdx,
-                     attemptStream(kStreamCorruptBit, attempt)) %
-            (wire.size() * 8);
-        wire[bit / 8] = static_cast<char>(
-            static_cast<unsigned char>(wire[bit / 8]) ^ (1u << (bit % 8)));
-        if (!decodeServiceFrame(wire).has_value()) {
-          ++stats_.corruptedDetected;  // receiver stays silent -> retransmit
-          arrived = false;
-        }
-      }
-    }
-
-    if (arrived && condition.reorderProb > 0.0 &&
-        draw(kStreamReorder) < condition.reorderProb) {
-      // Delivered out of order: the receiver has moved past this sequence
-      // number and rejects it as stale.
-      ++stats_.reordersRejected;
-      arrived = false;
-    }
-
-    if (arrived) {
-      auto decoded = decodeServiceFrame(encoded);
-      if (decoded.has_value() &&
-          (!everAccepted_ || decoded->seq > lastAcceptedSeq_)) {
-        lastAcceptedSeq_ = decoded->seq;
-        everAccepted_ = true;
-        result.delivered = true;
-        result.frame = std::move(decoded);
-        ++stats_.framesDelivered;
-        if (condition.duplicateProb > 0.0 &&
-            draw(kStreamAckLoss) < condition.duplicateProb) {
-          // The ack was lost: the sender retransmits once more and the
-          // receiver rejects the duplicate sequence number (and re-acks).
-          ++result.attempts;
-          ++stats_.attempts;
-          ++stats_.retransmissions;
-          ++stats_.duplicatesRejected;
-        }
-        return result;
-      }
-      // Stale/duplicate sequence number: rejected; the budget loop below
-      // still terminates.
-      ++stats_.duplicatesRejected;
-      arrived = false;
-    }
-
-    if (attempt >= config_.maxRetries) {
-      ++stats_.timeouts;
-      break;
-    }
-    // Exponential backoff with seeded jitter before the next attempt.
-    const double base = std::min(
-        config_.backoffMaxS, config_.backoffBaseS * std::ldexp(1.0, attempt));
-    const double jitter =
-        1.0 + config_.backoffJitterFrac * draw(kStreamBackoffJitter);
-    elapsedS += base * jitter;
-    if (elapsedS > budgetS) {
-      ++stats_.timeouts;
-      break;
-    }
-  }
-  ++stats_.framesMissed;
-  return result;
+  return loop_.transfer(messageIdx, encodeServiceFrame(frame),
+                        decodeServiceFrame, condition, budgetDtS);
 }
 
 }  // namespace rfp::transport

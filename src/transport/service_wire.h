@@ -22,7 +22,7 @@
 /// bit-flipped or truncated message is rejected (triggering a retransmit),
 /// never interpreted.
 ///
-/// ServiceLink replays the control link's resilience loop (loss,
+/// ServiceLink runs the control link's attempt loop (link.h: loss,
 /// corruption with real bit flips caught by the real CRC, reordering, ack
 /// loss -> duplicates, exponential backoff under a per-message budget)
 /// over these frames, on its own deterministic hash streams. A lossy
@@ -34,7 +34,6 @@
 #include <string>
 #include <string_view>
 
-#include "transport/control_link.h"
 #include "transport/link.h"
 
 namespace rfp::transport {
@@ -59,15 +58,9 @@ std::optional<ServiceFrame> decodeServiceFrame(std::string_view bytes,
                                                std::string* error = nullptr);
 
 /// Result of one message's transfer attempt(s).
-struct ServiceTransferResult {
-  bool delivered = false;
-  int attempts = 0;
-  /// The message as the receiver decoded it (bit-identical to the sent
-  /// one -- corrupted attempts never survive the CRC).
-  std::optional<ServiceFrame> frame;
-};
+using ServiceTransferResult = Transfer<ServiceFrame>;
 
-/// Client <-> service message link: the control link's attempt loop over
+/// Client <-> service message link: the attempt loop (link.h) over
 /// ServiceFrames. Deterministic: attempt k of message m draws from
 /// hash(seed, m, k) on streams disjoint from both the fault schedule's
 /// (11..15) and the ghost control link's (21..26), so a scenario that uses
@@ -76,7 +69,7 @@ class ServiceLink {
  public:
   ServiceLink() = default;
   ServiceLink(const TransportConfig& config, std::uint64_t seed)
-      : config_(config), seed_(seed) {}
+      : loop_(config, seed, kStreamBase) {}
 
   /// Tries to deliver \p frame within this message's budget (\p budgetDtS
   /// plays the actuation frame period's role from the control link).
@@ -85,15 +78,14 @@ class ServiceLink {
                                  const ChannelCondition& condition,
                                  double budgetDtS);
 
-  LinkStats& stats() { return stats_; }
-  const LinkStats& stats() const { return stats_; }
+  LinkStats& stats() { return loop_.stats(); }
+  const LinkStats& stats() const { return loop_.stats(); }
 
  private:
-  TransportConfig config_{};
-  std::uint64_t seed_ = 0;
-  LinkStats stats_{};
-  std::uint64_t lastAcceptedSeq_ = 0;
-  bool everAccepted_ = false;
+  /// Channel streams 31..36 at attempt 0.
+  static constexpr std::uint64_t kStreamBase = 31;
+
+  AttemptLoop loop_{};
 };
 
 }  // namespace rfp::transport

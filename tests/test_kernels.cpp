@@ -1207,27 +1207,6 @@ radar::RangeAngleMap e2eMap(const radar::RadarConfig& cfg) {
   return proc.process(frame);
 }
 
-TEST(KernelRadarPipeline, EveryLevelThreadInvariant) {
-  LevelGuard guard;
-  const radar::RadarConfig cfg = e2eConfig();
-  for (KernelLevel level : simd::availableKernelLevels()) {
-    simd::setActiveKernelLevel(level);
-    common::ThreadPool::setGlobalThreads(1);
-    const radar::RangeAngleMap base = e2eMap(cfg);
-    for (std::size_t threads : {2ul, 4ul}) {
-      common::ThreadPool::setGlobalThreads(threads);
-      const radar::RangeAngleMap map = e2eMap(cfg);
-      ASSERT_EQ(map.power.size(), base.power.size());
-      EXPECT_EQ(std::memcmp(map.power.data(), base.power.data(),
-                            base.power.size() * sizeof(double)),
-                0)
-          << "level=" << simd::kernelLevelName(level)
-          << " threads=" << threads;
-    }
-    common::ThreadPool::setGlobalThreads(0);
-  }
-}
-
 TEST(KernelRadarPipeline, CrossRegimeMapWithinDocumentedBound) {
   const auto fma = fmaLevels();
   if (fma.empty()) GTEST_SKIP() << "host has no FMA-regime level";

@@ -1,18 +1,22 @@
 /// \file test_transport.cpp
 /// The resilient control-link transport: wire framing (CRC-rejection of
 /// every single-bit flip), the heartbeat watchdog state machine, the
-/// deterministic lossy channel, and the end-to-end guarantees -- a
-/// zero-impairment transport is bit-identical to the direct actuation
-/// path, and under heavy loss it both tracks better and fingerprints less
-/// than the naive single-attempt link.
+/// deterministic lossy channel (both links' counters and per-message
+/// outcomes pinned at fixed seeds under every impairment), and the
+/// end-to-end guarantees -- a zero-impairment transport is bit-identical
+/// to the direct actuation path, and under heavy loss it both tracks
+/// better and fingerprints less than the naive single-attempt link.
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/det_hash.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/harness.h"
@@ -22,6 +26,7 @@
 #include "transport/control_link.h"
 #include "transport/framing.h"
 #include "transport/link.h"
+#include "transport/service_wire.h"
 
 namespace rfp::transport {
 namespace {
@@ -364,6 +369,135 @@ TEST(TransportIntegration, TransportBeatsNaiveReplayOnLossyLink) {
       linkRun.ledgerIntended, linkRun.ledgerApparent, linkRun.ledgerEmitted,
       fp);
   EXPECT_LE(linkFp.fingerprintRate, naiveFp.fingerprintRate);
+}
+
+// ---------------------------------------------------------------------------
+// Both links' attempt loops, pinned at fixed seeds
+// ---------------------------------------------------------------------------
+
+/// Every counter of \p s, in declaration order.
+std::string statsLine(const LinkStats& s) {
+  std::ostringstream out;
+  out << s.attempts << ' ' << s.retransmissions << ' ' << s.timeouts << ' '
+      << s.framesDelivered << ' ' << s.framesMissed << ' ' << s.lostInFlight
+      << ' ' << s.corruptedDetected << ' ' << s.reordersRejected << ' '
+      << s.duplicatesRejected << ' ' << s.coastFrames << ' ' << s.parkedFrames
+      << ' ' << s.reacquisitions;
+  return out.str();
+}
+
+/// A link's counters after a fixed message sequence, and a hash of every
+/// message's outcome (delivered, attempts) in order.
+struct PinnedRun {
+  std::string stats;
+  std::uint64_t outcomes = 0;
+};
+
+/// Sends 400 messages through \p transfer. Message m carries seq m, except
+/// that every 23rd message repeats the previous seq, so the stale-sequence
+/// rejection runs too. \p send(m, seq) transfers one message and returns
+/// its result; a delivered message must decode to the one sent.
+template <typename Send>
+PinnedRun pinRun(Send send) {
+  PinnedRun run;
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (std::uint64_t m = 0; m < 400; ++m) {
+    const std::uint64_t seq = m % 23 == 22 ? m - 1 : m;
+    const auto [delivered, attempts] = send(m, seq);
+    h = rfp::common::splitmix64(
+        h ^ (static_cast<std::uint64_t>(attempts) << 1 | (delivered ? 1 : 0)));
+  }
+  run.outcomes = h;
+  return run;
+}
+
+/// One channel condition, and both links' counters and outcome hash
+/// under it (recorded when each link ran its own copy of the loop).
+struct PinnedCase {
+  const char* name;
+  ChannelCondition condition;
+  double budgetDtS;  ///< frame period (control) or message budget (service)
+  const char* controlStats;
+  std::uint64_t controlOutcomes;
+  const char* serviceStats;
+  std::uint64_t serviceOutcomes;
+};
+
+// Each impairment alone, all of them together, and a long budget under
+// which the retry cap, not the time budget, ends a message. Counters are
+// in statsLine's order.
+const PinnedCase kPinnedCases[] = {
+    {"clean", {}, 0.05,
+     "451 51 17 383 17 0 0 0 68 0 0 0", 0xa8ccf4343c0d4cd7ull,
+     "451 51 17 383 17 0 0 0 68 0 0 0", 0xa8ccf4343c0d4cd7ull},
+    {"loss", {0.35, 0.0, 0.0, 0.0}, 0.05,
+     "661 261 21 379 21 238 0 0 44 0 0 0", 0x61111004ced8d6a7ull,
+     "665 265 21 379 21 241 0 0 45 0 0 0", 0x61e6d16679004118ull},
+    {"corrupt", {0.0, 0.35, 0.0, 0.0}, 0.05,
+     "627 227 19 381 19 0 208 0 38 0 0 0", 0x31c795df7205261cull,
+     "667 267 28 372 28 0 251 0 44 0 0 0", 0xdf859468f5592f1eull},
+    {"reorder", {0.0, 0.0, 0.35, 0.0}, 0.05,
+     "644 244 19 381 19 0 0 219 44 0 0 0", 0x64e4d710c92a022dull,
+     "631 231 22 378 22 0 0 209 44 0 0 0", 0xf0eee54f0ea651a4ull},
+    {"ackloss", {0.0, 0.0, 0.0, 0.35}, 0.05,
+     "573 173 17 383 17 0 0 0 190 0 0 0", 0xbc80ef96fae56fedull,
+     "596 196 17 383 17 0 0 0 213 0 0 0", 0xc37f2155a225f73full},
+    {"mixed", {0.2, 0.15, 0.1, 0.1}, 0.05,
+     "715 315 24 376 24 131 95 50 63 0 0 0", 0x5658bd0ee8989f91ull,
+     "717 317 23 377 23 130 75 47 88 0 0 0", 0x5c84c5a28f0139b2ull},
+    {"mixed-long-budget", {0.5, 0.2, 0.1, 0.1}, 1.0,
+     "1240 840 32 368 32 629 119 60 64 0 0 0", 0x1a0cf43cfdf55b2cull,
+     "1170 770 36 364 36 579 104 37 86 0 0 0", 0xbc2560262d3c31fbull},
+};
+
+PinnedRun controlRun(const PinnedCase& imp) {
+  GhostControlLink link(TransportConfig{}, 0xc0ffee);
+  PinnedRun run = pinRun([&](std::uint64_t m, std::uint64_t seq) {
+    ControlFrame frame = sampleFrame(2);
+    frame.seq = seq;
+    const TransferResult r =
+        link.transfer(m, frame, imp.condition, imp.budgetDtS);
+    if (r.delivered) {
+      EXPECT_TRUE(r.frame.has_value() && r.frame->seq == seq &&
+                  r.frame->schedule.size() == 2)
+          << imp.name << " message " << m;
+    }
+    return std::make_pair(r.delivered, r.attempts);
+  });
+  run.stats = statsLine(link.stats());
+  return run;
+}
+
+PinnedRun serviceRun(const PinnedCase& imp) {
+  ServiceLink link(TransportConfig{}, 0xc0ffee);
+  PinnedRun run = pinRun([&](std::uint64_t m, std::uint64_t seq) {
+    ServiceFrame frame;
+    frame.seq = seq;
+    frame.type = static_cast<std::uint16_t>(m % 5);
+    frame.payload = "epoch " + std::to_string(m);
+    const ServiceTransferResult r =
+        link.transfer(m, frame, imp.condition, imp.budgetDtS);
+    if (r.delivered) {
+      EXPECT_TRUE(r.frame.has_value() && r.frame->seq == seq &&
+                  r.frame->type == frame.type &&
+                  r.frame->payload == frame.payload)
+          << imp.name << " message " << m;
+    }
+    return std::make_pair(r.delivered, r.attempts);
+  });
+  run.stats = statsLine(link.stats());
+  return run;
+}
+
+TEST(LinkAttemptLoop, BothLinksKeepTheirCountersAndOutcomes) {
+  for (const PinnedCase& c : kPinnedCases) {
+    const PinnedRun control = controlRun(c);
+    EXPECT_EQ(control.stats, c.controlStats) << c.name;
+    EXPECT_EQ(control.outcomes, c.controlOutcomes) << c.name;
+    const PinnedRun service = serviceRun(c);
+    EXPECT_EQ(service.stats, c.serviceStats) << c.name;
+    EXPECT_EQ(service.outcomes, c.serviceOutcomes) << c.name;
+  }
 }
 
 TEST(TransportConfigValidation, RejectsBadKnobs) {
