@@ -1,16 +1,17 @@
 #pragma once
 
 /// \file thread_pool.h
-/// Fork-join pool driving the simulation hot paths (beat-signal
-/// synthesis, range FFT + beamforming, multipath image expansion, the
-/// fleet's per-scenario epochs).
+/// Fork-join pool for the loops that scale: the fleet's per-home epochs,
+/// recovery re-execution and GEMM row panels. A radar frame runs on its
+/// caller.
 ///
 /// Determinism contract (DESIGN.md Sec. 8). The pool never owns
 /// randomness and never influences numeric results: callers hand it
 /// index ranges whose iterations write to disjoint outputs, and every
-/// random draw inside a parallel region comes from a counter-based
-/// stream keyed by the loop index (common/det_hash.h). Output is
-/// therefore bit-identical at any thread count.
+/// random draw inside a parallel region comes from state the index owns
+/// (a home's own engine) or from a counter-based stream
+/// (common/det_hash.h). Output is therefore bit-identical at any thread
+/// count.
 ///
 /// Sizing. A pool of n threads counts the caller of parallelFor, which
 /// works alongside n - 1 workers. A default-constructed pool takes n from

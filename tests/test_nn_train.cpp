@@ -1,15 +1,15 @@
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "alloc_counter.h"
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -22,41 +22,6 @@
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "trajectory/trace.h"
-
-// ---------------------------------------------------------------------------
-// Instrumented global allocator: counts heap allocations while enabled, so
-// the zero-allocation contract of the training hot path (DESIGN.md Sec. 9)
-// is enforced by a test instead of by code review. Only the unaligned forms
-// are replaced -- std::vector<double>/std::string never take the aligned
-// overloads.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_countAllocs{false};
-std::atomic<std::size_t> g_allocCount{0};
-}  // namespace
-
-// noinline: if the compiler inlines these it sees malloc() paired with
-// free() across what it thinks are distinct allocators and raises
-// -Wmismatched-new-delete; kept opaque, new/delete pair normally.
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (g_countAllocs.load(std::memory_order_relaxed)) {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n > 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t n) {
-  return ::operator new(n);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace rfp::nn {
 namespace {
