@@ -232,42 +232,32 @@ std::string runEngineBytes() {
   return out;
 }
 
-/// Sweeps thread count x kernel level and requires the frames and maps
-/// synthesized with a tone memo to be memcmp-equal to the memo-less ones
-/// in every cell, with real memo hits; then requires an engine wave
-/// (ledger + metric streams, every job with its memo) to be
-/// byte-identical on one thread and on four. Restores the pool size and
-/// kernel level it found. Returns true iff every cell held.
+/// Requires the frames and maps synthesized with a tone memo to be
+/// memcmp-equal to the memo-less ones at every kernel level this host
+/// runs, with real memo hits; a frame runs on its caller, so the pool
+/// size does not reach them. Then requires an engine wave (ledger +
+/// metric streams, every job with its memo) to be byte-identical on one
+/// thread and on four. Restores the pool size and kernel level it found.
+/// Returns true iff every check held.
 bool runMemoIdentityGate() {
   namespace simd = rfp::common::simd;
   const simd::KernelLevel entryLevel = simd::activeKernelLevel();
-  std::vector<simd::KernelLevel> levels{simd::KernelLevel::kSse2};
-  const simd::KernelLevel best =
-      simd::maxSupportedLevel(simd::cpuFeatures());
-  if (best != simd::KernelLevel::kSse2) levels.push_back(best);
-
   const HomeScenes home = recordHomeScenes();
   bool allOk = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    rfp::common::ThreadPool::setGlobalThreads(threads);
-    for (const simd::KernelLevel level : levels) {
-      simd::setActiveKernelLevel(level);
-      std::uint64_t hits = 0;
-      const std::vector<std::uint8_t> memo = runSceneBytes(home, true, &hits);
-      const std::vector<std::uint8_t> memoLess =
-          runSceneBytes(home, false, nullptr);
-      const bool ok =
-          hits > 0 && !memo.empty() && memo.size() == memoLess.size() &&
-          std::memcmp(memo.data(), memoLess.data(), memo.size()) == 0;
-      std::printf(
-          "  identity threads=%zu kernel=%-8s  %zu bytes  %llu memo hits  "
-          "%s\n",
-          threads, simd::kernelLevelName(level), memo.size(),
-          static_cast<unsigned long long>(hits),
-          ok ? "bit-identical" : "DIVERGED");
-      allOk = allOk && ok;
-    }
+  for (const simd::KernelLevel level : simd::availableKernelLevels()) {
+    simd::setActiveKernelLevel(level);
+    std::uint64_t hits = 0;
+    const std::vector<std::uint8_t> memo = runSceneBytes(home, true, &hits);
+    const std::vector<std::uint8_t> memoLess =
+        runSceneBytes(home, false, nullptr);
+    const bool ok = hits > 0 && !memo.empty() &&
+                    memo.size() == memoLess.size() &&
+                    std::memcmp(memo.data(), memoLess.data(), memo.size()) == 0;
+    std::printf("  identity kernel=%-8s  %zu bytes  %llu memo hits  %s\n",
+                simd::kernelLevelName(level), memo.size(),
+                static_cast<unsigned long long>(hits),
+                ok ? "bit-identical" : "DIVERGED");
+    allOk = allOk && ok;
   }
   simd::setActiveKernelLevel(entryLevel);
 

@@ -12,9 +12,11 @@
 ///     antennas, four rows per call as Processor runs them),
 ///   - counter-based AWGN samples/s on one paper-radar frame (7 antennas
 ///     x 500 samples, the noise kernel family),
+///   - tone setups/s, the (miss, antenna) chains one setup call builds
+///     for a toy frame's memo misses (10 misses x 3 antennas),
 ///   - tone rows/s of the chains kernel at paper size (19 chains x 500
 ///     samples x 7 antennas) and toy size (13 chains x 8 samples x 3
-///     antennas), chain starts included,
+///     antennas), their tone setup included,
 ///   - end-to-end radar frames/s (Frontend::synthesize + Processor::process,
 ///     i.e. the tone-synthesis and Eq. 2 beamforming kernels together),
 ///   - peak-detection maps/s over office range-angle maps of the paper
@@ -27,7 +29,9 @@
 /// to copy + applyWindow + zero fill + bit reversal + the level's
 /// reference stage passes, the beamforming map memcmp-equal to
 /// beamformRowsScalar / beamformRowsFmaRef, the noise frame memcmp-equal
-/// to awgnAccumScalar / awgnAccumFmaRef, the tone rows memcmp-equal to
+/// to awgnAccumScalar / awgnAccumFmaRef, the tone setup's chains at 0-17
+/// misses memcmp-equal to the seed expressions (sse2) or toneSetupFmaRef
+/// (FMA levels), the tone rows memcmp-equal to
 /// the level's single-chain loop run chain after chain, the detection
 /// maps' noise floors and candidate lists memcmp-equal to the sse2 run's)
 /// so the sweep doubles as a cheap determinism gate. Emits
@@ -49,8 +53,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/constants.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "common/vec2.h"
 #include "core/eavesdropper.h"
 #include "core/harness.h"
 #include "core/rfprotect_system.h"
@@ -91,6 +97,7 @@ struct LevelRow {
   double rangeFftsPerSec = 0.0;    ///< windowed 500 -> 1024, 1 thread
   double beamformMapsPerSec = 0.0;  ///< 227 x 181 x 7, 1 thread
   double awgnSamplesPerSec = 0.0;  ///< 7 x 500 frame, 1 thread
+  double toneSetupsPerSec = 0.0;  ///< 10 misses x 3 antennas, 1 thread
   double toneRowsPaperPerSec = 0.0;  ///< 19 chains x 500 samples, 1 thread
   double toneRowsToyPerSec = 0.0;    ///< 13 chains x 8 samples, 1 thread
   double radarFramesPerSec = 0.0;
@@ -101,6 +108,7 @@ struct LevelRow {
   bool rangeFftBitExact = false;  ///< memcmp vs the reference chain
   bool beamformBitExact = false;  ///< memcmp vs the level's rows reference
   bool awgnBitExact = false;  ///< memcmp vs the level's noise reference
+  bool toneSetupBitExact = false;  ///< memcmp vs the level's reference
   bool toneBitExact = false;  ///< memcmp vs the single-chain loop
   bool detectBitExact = false;  ///< floor + candidates memcmp vs sse2
 };
@@ -280,37 +288,130 @@ double beamformThroughput(bool smoke, bool* bitExact) {
   return static_cast<double>(reps) / seconds;
 }
 
+radar::RadarConfig paperRadar() {
+  radar::RadarConfig cfg;
+  cfg.position = {5.0, 0.05};
+  cfg.noisePower = 1e-6;
+  return cfg;
+}
+
+/// The paper radar cut to \p antennas elements and \p samples samples.
+radar::RadarConfig toneRadar(std::size_t antennas, std::size_t samples) {
+  radar::RadarConfig cfg = paperRadar();
+  cfg.numAntennas = static_cast<int>(antennas);
+  cfg.chirp.sampleRateHz =
+      static_cast<double>(samples) / cfg.chirp.durationS;
+  return cfg;
+}
+
+/// \p count memo misses in a 10 m x 10 m room before the radar, at
+/// columns 0 .. count - 1.
+radar::detail::ToneMisses benchMisses(std::size_t count, common::Rng& rng) {
+  radar::detail::ToneMisses m;
+  m.reset(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    env::PointScatterer s;
+    s.position = {rng.uniform(0.0, 10.0), rng.uniform(0.3, 10.0)};
+    s.radialOffsetM = rng.uniform(-0.2, 1.0);
+    s.beatFreqOffsetHz = rng.uniform(-2e4, 2e4);
+    s.phaseOffsetRad = rng.uniform(-3.0, 3.0);
+    const double dTx =
+        (s.position - common::Vec2{5.0, 0.05}).norm() + s.radialOffsetM;
+    m.push(s, rng.uniform(0.01, 1.0), dTx, i);
+  }
+  return m;
+}
+
+/// The seed's per-(scatterer, antenna) setup written out (hypot path
+/// lengths, std::polar, toneChain at sse2): the sse2 level's reference.
+void seedToneSetup(const radar::RadarConfig& cfg,
+                   const radar::detail::ToneMisses& m,
+                   radar::detail::ToneChain* chains, std::size_t stride) {
+  const double twoPi = 2.0 * common::pi();
+  const double dt = 1.0 / cfg.chirp.sampleRateHz;
+  for (std::size_t i = 0; i < m.count; ++i) {
+    for (int k = 0; k < cfg.numAntennas; ++k) {
+      const common::Vec2 d =
+          common::Vec2{m.x[i], m.y[i]} - cfg.antennaPosition(k);
+      const double dRx = d.norm() + m.radialOffsetM[i];
+      const double tau = (m.dTx[i] + dRx) / common::kSpeedOfLight;
+      const double beatHz = cfg.chirp.slope() * tau + m.beatFreqOffsetHz[i];
+      const double basePhase =
+          twoPi * cfg.chirp.startHz * tau + m.phaseOffsetRad[i];
+      chains[static_cast<std::size_t>(k) * stride + m.column[i]] =
+          radar::detail::toneChain(
+              KernelLevel::kSse2, std::polar(m.amplitude[i], basePhase),
+              std::polar(1.0, twoPi * beatHz * dt));
+    }
+  }
+}
+
+/// Tone setups/s of the active level: (miss, antenna) chains built per
+/// second by one setup call of \p misses misses at \p antennas
+/// antennas, as a toy frame's memo misses take it. Before timing, every
+/// count 0-17 at 3 and 7 antennas is memcmp-checked against the level's
+/// reference: the seed expressions at sse2, toneSetupFmaRef above it.
+double toneSetupThroughput(std::size_t misses, std::size_t antennas,
+                           std::size_t reps, bool* bitExact) {
+  const KernelLevel level = common::simd::activeKernelLevel();
+  const radar::detail::ToneSetupFn setup =
+      radar::detail::toneSetupForLevel(level);
+  common::Rng rng(502);
+  *bitExact = true;
+  for (const std::size_t k : {std::size_t{3}, std::size_t{7}}) {
+    const radar::RadarConfig cfg = toneRadar(k, 500);
+    const radar::Frontend frontend(cfg);
+    for (std::size_t count = 0; count <= 17; ++count) {
+      const radar::detail::ToneMisses m = benchMisses(count, rng);
+      std::vector<radar::detail::ToneChain> out(k * count), ref(k * count);
+      setup(frontend.toneGeometry(), m, out.data(), count);
+      if (level == KernelLevel::kSse2) {
+        seedToneSetup(cfg, m, ref.data(), count);
+      } else {
+        radar::detail::toneSetupFmaRef(frontend.toneGeometry(), m,
+                                       ref.data(), count);
+      }
+      *bitExact = *bitExact &&
+                  std::memcmp(out.data(), ref.data(),
+                              out.size() * sizeof(out[0])) == 0;
+    }
+  }
+
+  const radar::Frontend frontend(toneRadar(antennas, 8));
+  const radar::detail::ToneMisses m = benchMisses(misses, rng);
+  std::vector<radar::detail::ToneChain> chains(antennas * misses);
+  setup(frontend.toneGeometry(), m, chains.data(), misses);  // warm-up
+  bench::WallTimer timer;
+  for (std::size_t r = 0; r < reps; ++r) {
+    setup(frontend.toneGeometry(), m, chains.data(), misses);
+    benchmark::DoNotOptimize(chains.data());
+  }
+  const double seconds = timer.elapsedS();
+  return static_cast<double>(reps * misses * antennas) / seconds;
+}
+
 /// Tone rows/s of the active level's chains kernel: \p antennas rows of
 /// \p samples samples, each taking \p chains tone chains in one call as
-/// Frontend::synthesizeInto makes it. The chain starts (two std::polar
-/// calls and toneChain per chain) are computed inside the timed loop, as
-/// on a memo miss. The frame is memcmp-checked against the level's
-/// single-chain loop run chain after chain.
+/// Frontend::synthesizeInto makes it. The chains come from the level's
+/// tone setup inside the timed loop, as when every scatterer misses the
+/// memo. The frame is memcmp-checked against the level's single-chain
+/// loop run chain after chain.
 double toneRowsThroughput(std::size_t chains, std::size_t samples,
                           std::size_t antennas, std::size_t reps,
                           bool* bitExact) {
   const KernelLevel level = common::simd::activeKernelLevel();
   const radar::detail::ToneAccumChainsFn fn =
       radar::detail::toneAccumChainsForLevel(level);
+  const radar::detail::ToneSetupFn setup =
+      radar::detail::toneSetupForLevel(level);
+  const radar::Frontend frontend(toneRadar(antennas, samples));
   common::Rng rng(501);
-  std::vector<double> amp(chains), phase(chains), beat(chains);
-  for (std::size_t c = 0; c < chains; ++c) {
-    amp[c] = rng.uniform(0.01, 1.0);
-    phase[c] = rng.uniform(-3.0, 3.0);
-    beat[c] = rng.uniform(-0.5, 0.5);
-  }
+  const radar::detail::ToneMisses misses = benchMisses(chains, rng);
   std::vector<radar::detail::ToneChain> starts(antennas * chains);
   std::vector<std::complex<double>> frame(antennas * samples);
   const auto runFrame = [&](radar::detail::ToneAccumChainsFn kernel) {
     std::fill(frame.begin(), frame.end(), std::complex<double>{});
-    for (std::size_t k = 0; k < antennas; ++k) {
-      for (std::size_t c = 0; c < chains; ++c) {
-        const double shift = 0.01 * static_cast<double>(k);
-        starts[k * chains + c] = radar::detail::toneChain(
-            level, std::polar(amp[c], phase[c] + shift),
-            std::polar(1.0, beat[c] + shift));
-      }
-    }
+    setup(frontend.toneGeometry(), misses, starts.data(), chains);
     for (std::size_t k = 0; k < antennas; ++k) {
       kernel(frame.data() + k * samples, samples,
              starts.data() + k * chains, chains);
@@ -375,13 +476,6 @@ double awgnThroughput(bool smoke, bool* bitExact) {
   *bitExact = std::memcmp(out.data(), frame.data(),
                           frame.size() * sizeof(frame[0])) == 0;
   return static_cast<double>(reps * kAntennas * kSamples) / seconds;
-}
-
-radar::RadarConfig paperRadar() {
-  radar::RadarConfig cfg;
-  cfg.position = {5.0, 0.05};
-  cfg.noisePower = 1e-6;
-  return cfg;
 }
 
 /// Two scatterers in front of the paper radar, the second weaker.
@@ -565,6 +659,9 @@ int runKernelSweep(bool smoke) {
     allExact = allExact && row.beamformBitExact;
     row.awgnSamplesPerSec = awgnThroughput(smoke, &row.awgnBitExact);
     allExact = allExact && row.awgnBitExact;
+    row.toneSetupsPerSec = toneSetupThroughput(10, 3, smoke ? 200 : 200000,
+                                               &row.toneSetupBitExact);
+    allExact = allExact && row.toneSetupBitExact;
     bool paperToneExact = false, toyToneExact = false;
     row.toneRowsPaperPerSec = toneRowsThroughput(
         19, kPaperSamples, kPaperAntennas, smoke ? 20 : 2000, &paperToneExact);
@@ -586,20 +683,21 @@ int runKernelSweep(bool smoke) {
 
     std::printf(
         "  %-8s : gemm %7.2f / %7.2f GFLOP/s  fft %8.0f /s  range fft %8.0f "
-        "/s  beamform %6.0f maps/s  awgn %6.1f Msamples/s  tone rows "
-        "%7.0f (paper) %8.0f (toy) /s  radar %6.1f frames/s  detect %7.0f "
-        "maps/s  gan %5.2f steps/s  gemm %s  range fft %s  beamform %s  "
-        "awgn %s  tone %s  detect %s (%zu candidates, %llu bracket "
-        "misses over %zu maps)\n",
+        "/s  beamform %6.0f maps/s  awgn %6.1f Msamples/s  tone setup "
+        "%6.1f M/s  tone rows %7.0f (paper) %8.0f (toy) /s  radar %6.1f "
+        "frames/s  detect %7.0f maps/s  gan %5.2f steps/s  gemm %s  range "
+        "fft %s  beamform %s  awgn %s  tone setup %s  tone %s  detect %s "
+        "(%zu candidates, %llu bracket misses over %zu maps)\n",
         common::simd::kernelLevelName(level), row.gemmGflopsCube,
         row.gemmGflopsGan, row.fftTransformsPerSec, row.rangeFftsPerSec,
         row.beamformMapsPerSec, row.awgnSamplesPerSec / 1.0e6,
-        row.toneRowsPaperPerSec, row.toneRowsToyPerSec,
+        row.toneSetupsPerSec / 1.0e6, row.toneRowsPaperPerSec, row.toneRowsToyPerSec,
         row.radarFramesPerSec, row.detectMapsPerSec, row.ganStepsPerSec,
         row.gemmBitExact ? "bit-exact" : "MISMATCH",
         row.rangeFftBitExact ? "bit-exact" : "MISMATCH",
         row.beamformBitExact ? "bit-exact" : "MISMATCH",
         row.awgnBitExact ? "bit-exact" : "MISMATCH",
+        row.toneSetupBitExact ? "bit-exact" : "MISMATCH",
         row.toneBitExact ? "bit-exact" : "MISMATCH",
         row.detectBitExact ? "matches sse2" : "MISMATCH",
         detection.candidates.size(),
@@ -623,6 +721,7 @@ int runKernelSweep(bool smoke) {
         .field("range_ffts_per_sec", row.rangeFftsPerSec)
         .field("beamform_maps_per_sec", row.beamformMapsPerSec)
         .field("awgn_samples_per_sec", row.awgnSamplesPerSec)
+        .field("tone_setups_per_sec", row.toneSetupsPerSec)
         .field("tone_rows_paper_per_sec", row.toneRowsPaperPerSec)
         .field("tone_rows_toy_per_sec", row.toneRowsToyPerSec)
         .field("radar_frames_per_sec", row.radarFramesPerSec)
@@ -633,6 +732,7 @@ int runKernelSweep(bool smoke) {
         .field("range_fft_bit_exact", row.rangeFftBitExact)
         .field("beamform_bit_exact", row.beamformBitExact)
         .field("awgn_bit_exact", row.awgnBitExact)
+        .field("tone_setup_bit_exact", row.toneSetupBitExact)
         .field("tone_bit_exact", row.toneBitExact)
         .field("detect_matches_sse2", row.detectBitExact)
         .endObject();

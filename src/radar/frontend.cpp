@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/constants.h"
 #include "common/cpuid.h"
 #include "common/det_hash.h"
 #include "radar/simd_kernels.h"
@@ -44,6 +43,15 @@ Frontend::Frontend(RadarConfig config) : config_(std::move(config)) {
   h = mixField(h, config_.pathLossRefM);
   h = mixField(h, config_.pathLossExponent);
   configHash_ = h;
+
+  for (int k = 0; k < config_.numAntennas; ++k) {
+    const Vec2 rx = config_.antennaPosition(k);
+    geometry_.rxX.push_back(rx.x);
+    geometry_.rxY.push_back(rx.y);
+  }
+  geometry_.slopeHzPerS = config_.chirp.slope();
+  geometry_.startHz = config_.chirp.startHz;
+  geometry_.sampleIntervalS = 1.0 / config_.chirp.sampleRateHz;
 }
 
 double Frontend::pathAmplitude(double distanceM) const {
@@ -77,10 +85,6 @@ void Frontend::synthesizeInto(Frame& frame,
   const std::size_t numSamples = config_.chirp.samplesPerChirp();
   const std::size_t numAntennas =
       static_cast<std::size_t>(config_.numAntennas);
-  const double dt = 1.0 / config_.chirp.sampleRateHz;
-  const double sl = config_.chirp.slope();
-  const double f0 = config_.chirp.startHz;
-  const double twoPi = 2.0 * rfp::common::pi();
   const Vec2 txPos = config_.position;  // TX colocated with element 0
 
   frame.timestampS = timestampS;
@@ -91,22 +95,27 @@ void Frontend::synthesizeInto(Frame& frame,
   // resolved once per frame; the memo is valid under this level only.
   const rfp::common::simd::KernelLevel level =
       rfp::common::simd::activeKernelLevel();
+  const detail::ToneSetupFn setup = detail::toneSetupForLevel(level);
   const detail::ToneAccumChainsFn accumChains =
       detail::toneAccumChainsForLevel(level);
 
-  // Serial pass: each scatterer's chain start per antenna, from the memo
-  // or computed, goes to column `count` of the [antenna][scatterer]
-  // array, so every antenna row reads its chains contiguously in list
-  // order. The frame keeps its own copy because a later scatterer may
-  // overwrite the memo slot. A scatterer whose amplitude after path loss
-  // is not positive (zero, negative or NaN) takes no column: a zero tone
-  // adds nothing, and std::polar's magnitude must be neither negative nor
-  // NaN.
+  // Resolve pass, in list order: each scatterer's chains go to column
+  // `count` of the [antenna][scatterer] array, so every antenna row reads
+  // its chains contiguously in list order. A memo hit copies them there
+  // (the frame keeps its own copy because a later scatterer may overwrite
+  // the slot); a miss is listed for the setup call below. A scatterer
+  // whose amplitude after path loss is not positive (zero, negative or
+  // NaN) takes no column: a zero tone adds nothing, and a phasor's
+  // magnitude must be neither negative nor NaN.
   const std::size_t stride = scatterers.size();
   std::vector<detail::ToneChain> ownChains;
+  detail::ToneMisses ownMisses;
   std::vector<detail::ToneChain>& chains =
       memo != nullptr ? memo->frameChains() : ownChains;
+  detail::ToneMisses& misses =
+      memo != nullptr ? memo->frameMisses() : ownMisses;
   chains.resize(numAntennas * stride);
+  misses.reset(stride);
   if (memo != nullptr) {
     memo->beginFrame(rfp::common::splitmix64(
                          configHash_ ^ static_cast<std::uint64_t>(level)),
@@ -114,30 +123,23 @@ void Frontend::synthesizeInto(Frame& frame,
   }
   std::size_t count = 0;
   for (const env::PointScatterer& s : scatterers) {
-    detail::ToneChain* column = chains.data() + count;
     bool nonzero = false;
-    if (memo != nullptr && memo->lookup(s, column, stride, nonzero)) {
+    if (memo != nullptr &&
+        memo->lookup(s, chains.data() + count, stride, nonzero)) {
       count += nonzero ? 1 : 0;
       continue;
     }
     const double dTx = (s.position - txPos).norm() + s.radialOffsetM;
     const double amp = s.amplitude * pathAmplitude(dTx);
     nonzero = amp > 0.0;
-    for (std::size_t k = 0; nonzero && k < numAntennas; ++k) {
-      const Vec2 rxPos = config_.antennaPosition(static_cast<int>(k));
-      const double dRx = (s.position - rxPos).norm() + s.radialOffsetM;
-      const double tau = (dTx + dRx) / rfp::common::kSpeedOfLight;
-      const double beatHz = sl * tau + s.beatFreqOffsetHz;
-      const double basePhase = twoPi * f0 * tau + s.phaseOffsetRad;
-      // The tone is phasor * rot^n: a per-sample rotation instead of
-      // numSamples sin/cos calls per scatterer-antenna pair.
-      column[k * stride] =
-          detail::toneChain(level, std::polar(amp, basePhase),
-                            std::polar(1.0, twoPi * beatHz * dt));
-    }
-    if (memo != nullptr) memo->fill(nonzero, column, stride);
+    if (nonzero) misses.push(s, amp, dTx, count);
+    if (memo != nullptr) memo->pend(nonzero, count);
     count += nonzero ? 1 : 0;
   }
+
+  // One setup call builds every miss's chains, which the memo then keeps.
+  setup(geometry_, misses, chains.data(), stride);
+  if (memo != nullptr) memo->storePending(chains.data(), stride);
 
   // Each antenna adds its chains in list order in one kernel call, then
   // its own noise stream.

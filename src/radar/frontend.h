@@ -13,7 +13,8 @@
 /// its phase shifter adds `phaseOffsetRad` (paper Eq. 3 / Sec. 5.3).
 ///
 /// Determinism (DESIGN.md Sec. 8). A frame runs on the calling thread:
-/// each scatterer's per-antenna tone chains are resolved first, then each
+/// each scatterer's per-antenna tone chains are resolved first (memo
+/// hits copied, then one tone setup call for every miss), then each
 /// antenna adds its scatterer tones in list order into its own sample
 /// buffer. Receiver noise comes from counter-based streams keyed
 /// (noiseSeed, chirpIndex, antenna, sample) rather than a shared
@@ -28,6 +29,7 @@
 #include "env/scatterer.h"
 #include "radar/config.h"
 #include "radar/frame.h"
+#include "radar/simd_kernels.h"
 
 namespace rfp::radar {
 
@@ -42,6 +44,10 @@ class Frontend {
   explicit Frontend(RadarConfig config);
 
   const RadarConfig& config() const { return config_; }
+
+  /// What the tone setup kernels read of config(): element positions and
+  /// the chirp's slope, start frequency and sample interval.
+  const detail::ToneGeometry& toneGeometry() const { return geometry_; }
 
   /// Synthesizes the frame observed at time \p timestampS (seconds) for
   /// the given scatterer snapshot. Adds AWGN at the configured power,
@@ -63,7 +69,7 @@ class Frontend {
 
   /// Deterministic synthesis into a caller-owned buffer: \p frame is
   /// resized (antenna rows reuse their capacity) and overwritten. With a
-  /// non-null \p memo each scatterer's per-antenna tone-chain starts are
+  /// non-null \p memo each scatterer's per-antenna tone chains are
   /// memoized across frames and a steady-state caller performs no
   /// allocation; without one every chain is computed. The frame is
   /// bit-identical either way (tone_memo.h). A memo must not be shared by
@@ -81,6 +87,7 @@ class Frontend {
  private:
   RadarConfig config_;
   std::uint64_t configHash_ = 0;  ///< tone-math fields, hashed once
+  detail::ToneGeometry geometry_;  ///< what tone setup reads of config_
 };
 
 /// Models ADC saturation: clips every I/Q sample of \p frame to

@@ -28,12 +28,14 @@ std::size_t ToneMemo::slotOf(const env::PointScatterer& s) {
 
 void ToneMemo::beginFrame(std::uint64_t fingerprint,
                           std::size_t numAntennas) {
+  pendingSlots_.clear();
   if (!slots_.empty() && fingerprint == fingerprint_ &&
       numAntennas == numAntennas_) {
     return;
   }
   slots_.assign(kSlots, Slot{});
   chains_.assign(kSlots * numAntennas, detail::ToneChain{});
+  pendingSlots_.reserve(kSlots);
   fingerprint_ = fingerprint;
   numAntennas_ = numAntennas;
 }
@@ -41,15 +43,15 @@ void ToneMemo::beginFrame(std::uint64_t fingerprint,
 bool ToneMemo::lookup(const env::PointScatterer& s, detail::ToneChain* out,
                       std::size_t stride, bool& nonzero) {
   const Key key = keyOf(s);
-  pending_ = slotOf(key);
-  Slot& slot = slots_[pending_];
+  missed_ = slotOf(key);
+  Slot& slot = slots_[missed_];
   ++stats_.lookups;
   if (slot.used && slot.key == key) {
     ++stats_.hits;
     nonzero = slot.nonzero;
     if (nonzero) {
       const detail::ToneChain* chains =
-          chains_.data() + pending_ * numAntennas_;
+          chains_.data() + missed_ * numAntennas_;
       for (std::size_t k = 0; k < numAntennas_; ++k) {
         out[k * stride] = chains[k];
       }
@@ -57,18 +59,32 @@ bool ToneMemo::lookup(const env::PointScatterer& s, detail::ToneChain* out,
     return true;
   }
   slot.key = key;
-  slot.used = false;  // until fill()
+  slot.used = false;  // until pend() or storePending()
   return false;
 }
 
-void ToneMemo::fill(bool nonzero, const detail::ToneChain* in,
-                    std::size_t stride) {
-  Slot& slot = slots_[pending_];
-  slot.used = true;
+void ToneMemo::pend(bool nonzero, std::size_t column) {
+  Slot& slot = slots_[missed_];
   slot.nonzero = nonzero;
-  if (!nonzero) return;
-  detail::ToneChain* chains = chains_.data() + pending_ * numAntennas_;
-  for (std::size_t k = 0; k < numAntennas_; ++k) chains[k] = in[k * stride];
+  slot.column = column;
+  if (nonzero) {
+    pendingSlots_.push_back(missed_);
+  } else {
+    slot.used = true;
+  }
+}
+
+void ToneMemo::storePending(const detail::ToneChain* in, std::size_t stride) {
+  for (const std::size_t index : pendingSlots_) {
+    Slot& slot = slots_[index];
+    if (slot.used) continue;  // stored already, or re-keyed to a zero tone
+    slot.used = true;
+    detail::ToneChain* chains = chains_.data() + index * numAntennas_;
+    for (std::size_t k = 0; k < numAntennas_; ++k) {
+      chains[k] = in[k * stride + slot.column];
+    }
+  }
+  pendingSlots_.clear();
 }
 
 }  // namespace rfp::radar

@@ -8,10 +8,16 @@
 /// and the radar configuration, not by the frame timestamp. Walls,
 /// furniture images and repeated ghost poses come back frame after
 /// frame, so the front end memoizes the part of their synthesis that
-/// does not touch the sample row: the two std::polar calls, the path
-/// geometry and the level's chain prologue (detail::toneChain). Every
-/// scatterer, memoized or fresh, then goes through the same chains
+/// does not touch the sample row: the chains the level's tone setup
+/// builds (path geometry, the two angles' sin/cos, the chain prologue).
+/// Every scatterer, memoized or fresh, then goes through the same chains
 /// kernel pass over the row.
+///
+/// Frame order. The front end looks every scatterer up in list order
+/// and pends each miss; one tone setup call then builds the chains of
+/// all pending misses, and storePending() stores them. A slot missed in
+/// this frame serves no hit until then, so a key repeated later in the
+/// same frame is computed again, to the same chains.
 ///
 /// Key contract. A slot is keyed on the exact bit patterns
 /// (`std::bit_cast<uint64_t>`) of position.x, position.y, amplitude,
@@ -26,8 +32,8 @@
 /// The memo can change wall-clock only.
 ///
 /// Layout. 128 direct-mapped slots, overwritten on conflict, each
-/// holding its key, a nonzero flag and numAntennas chains (80 B each),
-/// allocated on the first frame.
+/// holding its key, a nonzero flag, its pending column and numAntennas
+/// chains (80 B each), allocated on the first frame.
 ///
 /// Thread-safety: none. One ToneMemo belongs to one scenario's front end
 /// and is driven serially from the synthesis call.
@@ -63,18 +69,24 @@ class ToneMemo {
   /// Looks \p s up. On a hit sets \p nonzero and, when it is set, copies
   /// the chains of antenna k to out[k * stride]; returns true. On a miss
   /// the slot is re-keyed to \p s and false is returned: the caller
-  /// computes the chains and passes them to fill() before the next
-  /// lookup.
+  /// calls pend() for it before the next lookup.
   bool lookup(const env::PointScatterer& s, detail::ToneChain* out,
               std::size_t stride, bool& nonzero);
 
-  /// Stores the chains of the scatterer the last lookup missed, read
-  /// from in[k * stride] when \p nonzero.
-  void fill(bool nonzero, const detail::ToneChain* in, std::size_t stride);
+  /// Records the scatterer the last lookup missed: whether it takes a
+  /// column, and which (\p column of the frame's chain array). A
+  /// scatterer that takes none is stored at once.
+  void pend(bool nonzero, std::size_t column);
 
-  /// Per-frame [antenna][scatterer] chain array of the front end, kept
-  /// here so a steady-state frame allocates nothing.
+  /// Stores the chains of every scatterer pended since beginFrame, read
+  /// from in[k * stride + column]. A slot pended twice keeps its last
+  /// scatterer's chains.
+  void storePending(const detail::ToneChain* in, std::size_t stride);
+
+  /// Per-frame [antenna][scatterer] chain array and miss list of the
+  /// front end, kept here so a steady-state frame allocates nothing.
   std::vector<detail::ToneChain>& frameChains() { return frameChains_; }
+  detail::ToneMisses& frameMisses() { return frameMisses_; }
 
   Stats stats() const { return stats_; }
 
@@ -86,8 +98,9 @@ class ToneMemo {
   };
   struct Slot {
     Key key;
-    bool used = false;
+    bool used = false;  ///< holds its key's chains
     bool nonzero = false;
+    std::size_t column = 0;  ///< pending: where its chains are built
   };
 
   static Key keyOf(const env::PointScatterer& s);
@@ -96,9 +109,11 @@ class ToneMemo {
   std::vector<Slot> slots_;
   std::vector<detail::ToneChain> chains_;  ///< [slot][antenna]
   std::vector<detail::ToneChain> frameChains_;
+  detail::ToneMisses frameMisses_;
+  std::vector<std::size_t> pendingSlots_;  ///< pended this frame, in order
   std::uint64_t fingerprint_ = 0;
   std::size_t numAntennas_ = 0;
-  std::size_t pending_ = 0;  ///< slot of the last miss
+  std::size_t missed_ = 0;  ///< slot of the last miss
   Stats stats_;
 };
 

@@ -83,23 +83,28 @@ void awgnAccumFmaRef(std::complex<double>* dst, std::size_t n, double sigma,
     const double shifted = x + 0x1.8p52;
     const double q = shifted - 0x1.8p52;
     const double t = x - q;
-    const std::uint64_t quadrant = std::bit_cast<std::uint64_t>(shifted) & 3;
-    const double t2 = t * t;
-    double ps = kSinCoef[8];
-    double pc = kCosCoef[8];
-    for (int j = 7; j >= 0; --j) {
-      ps = std::fma(ps, t2, kSinCoef[j]);
-      pc = std::fma(pc, t2, kCosCoef[j]);
-    }
-    const double sinT = t * ps;
-    double sinV = (quadrant & 1) ? pc : sinT;
-    double cosV = (quadrant & 1) ? sinT : pc;
-    if (quadrant & 2) sinV = -sinV;
-    if ((quadrant ^ (quadrant >> 1)) & 1) cosV = -cosV;
+    const SinCos g =
+        quarterTurnSinCos(t, std::bit_cast<std::uint64_t>(shifted));
 
-    dst[i] = {std::fma(rho, cosV, dst[i].real()),
-              std::fma(rho, sinV, dst[i].imag())};
+    dst[i] = {std::fma(rho, g.cos, dst[i].real()),
+              std::fma(rho, g.sin, dst[i].imag())};
   }
+}
+
+SinCos quarterTurnSinCos(double t, std::uint64_t quadrant) {
+  const double t2 = t * t;
+  double ps = kSinCoef[8];
+  double pc = kCosCoef[8];
+  for (int j = 7; j >= 0; --j) {
+    ps = std::fma(ps, t2, kSinCoef[j]);
+    pc = std::fma(pc, t2, kCosCoef[j]);
+  }
+  const double sinT = t * ps;
+  double sinV = (quadrant & 1) ? pc : sinT;
+  double cosV = (quadrant & 1) ? sinT : pc;
+  if (quadrant & 2) sinV = -sinV;
+  if ((quadrant ^ (quadrant >> 1)) & 1) cosV = -cosV;
+  return {sinV, cosV};
 }
 
 AwgnAccumFn awgnAccumForLevel(rfp::common::simd::KernelLevel level) {

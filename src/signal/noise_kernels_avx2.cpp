@@ -1,8 +1,9 @@
 /// \file noise_kernels_avx2.cpp
 /// AVX2+FMA counter-based Gaussian noise: four samples per 256-bit
 /// iteration. Compiled with -mavx2 -mfma -ffp-contract=off; runtime-gated
-/// by cpuid. Every lane runs the chain of noise_kernels.h, so the kernel
-/// is bit-identical to awgnAccumFmaRef; no libm function is called.
+/// by cpuid. Every lane runs the chain of noise_kernels.h, its sin/cos
+/// from signal/sincos_lanes.h, so the kernel is bit-identical to
+/// awgnAccumFmaRef; no libm function is called.
 
 #include "signal/noise_kernels.h"
 
@@ -13,6 +14,7 @@
 #include <cstring>
 
 #include "common/det_hash.h"
+#include "signal/sincos_lanes.h"
 
 namespace rfp::signal::detail {
 
@@ -55,15 +57,6 @@ inline __m256d unitFromBits(__m256i h) {
   const __m256d v = _mm256_add_pd(
       _mm256_sub_pd(hi, _mm256_set1_pd(0x1.0p84 + 0x1.0p52)), lo);
   return _mm256_mul_pd(v, _mm256_set1_pd(0x1.0p-53));
-}
-
-/// Horner over a nine-term coefficient table, highest term first.
-inline __m256d horner9(__m256d x, const double (&c)[9]) {
-  __m256d p = _mm256_set1_pd(c[8]);
-  for (int j = 7; j >= 0; --j) {
-    p = _mm256_fmadd_pd(p, x, _mm256_set1_pd(c[j]));
-  }
-  return p;
 }
 
 /// The noise increments of four samples whose indices the lanes of \p idx
@@ -115,20 +108,8 @@ inline __m256d horner9(__m256d x, const double (&c)[9]) {
   const __m256d shifted = _mm256_add_pd(x, _mm256_set1_pd(0x1.8p52));
   const __m256d t =
       _mm256_sub_pd(x, _mm256_sub_pd(shifted, _mm256_set1_pd(0x1.8p52)));
-  const __m256i quadrant = _mm256_castpd_si256(shifted);
-  const __m256d t2 = _mm256_mul_pd(t, t);
-  const __m256d sinT = _mm256_mul_pd(t, horner9(t2, kSinCoef));
-  const __m256d cosT = horner9(t2, kCosCoef);
-  // blendv keys on each lane's sign bit: odd quadrants swap sin and cos.
-  const __m256d swap = _mm256_castsi256_pd(_mm256_slli_epi64(quadrant, 63));
-  const __m256d sinNeg = _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_and_si256(quadrant, splat(2)), 62));
-  const __m256d cosNeg = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_xor_si256(quadrant, _mm256_srli_epi64(quadrant, 1)), 63));
-  const __m256d sinV =
-      _mm256_xor_pd(_mm256_blendv_pd(sinT, cosT, swap), sinNeg);
-  const __m256d cosV =
-      _mm256_xor_pd(_mm256_blendv_pd(cosT, sinT, swap), cosNeg);
+  __m256d sinV, cosV;
+  quarterTurnSinCos(t, _mm256_castpd_si256(shifted), &sinV, &cosV);
 
   *lo = _mm256_fmadd_pd(_mm256_unpacklo_pd(rho, rho),
                         _mm256_unpacklo_pd(cosV, sinV), accLo);

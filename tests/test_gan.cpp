@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 #include "common/rng.h"
 #include "gan/discriminator.h"
 #include "gan/generator.h"
@@ -205,7 +207,7 @@ TEST(TrajectoryGan, SaveLoadRoundTrip) {
   rfp::common::Rng rng(10);
   GanTrainingConfig tc;
   TrajectoryGan a(tinyG(), tinyD(), tc, rng);
-  const std::string path = ::testing::TempDir() + "/gan_ckpt.txt";
+  const std::string path = rfp::test::tempPath("gan_ckpt.txt");
   a.save(path);
 
   rfp::common::Rng rng2(77);

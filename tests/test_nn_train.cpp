@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "temp_path.h"
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -96,7 +97,7 @@ TEST(ParameterList, CountAndZero) {
 TEST(Serialize, RoundTripPreservesValues) {
   rfp::common::Rng rng(22);
   Linear original("fc", 3, 2, rng);
-  const std::string path = ::testing::TempDir() + "/params_roundtrip.txt";
+  const std::string path = rfp::test::tempPath("params_roundtrip.txt");
   saveParameters(path, original.parameters());
 
   rfp::common::Rng rng2(99);  // different init
@@ -114,7 +115,7 @@ TEST(Serialize, RoundTripPreservesValues) {
 TEST(Serialize, RejectsArchitectureMismatch) {
   rfp::common::Rng rng(23);
   Linear a("fc", 3, 2, rng);
-  const std::string path = ::testing::TempDir() + "/params_mismatch.txt";
+  const std::string path = rfp::test::tempPath("params_mismatch.txt");
   saveParameters(path, a.parameters());
 
   Linear wrongShape("fc", 2, 2, rng);

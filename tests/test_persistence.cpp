@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 #include "common/atomic_io.h"
 #include "common/rng.h"
 #include "gan/trajectory_gan.h"
@@ -24,9 +26,7 @@
 namespace rfp {
 namespace {
 
-std::string tempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using rfp::test::tempPath;
 
 void writeRaw(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 #include "common/thread_pool.h"
 #include "fault/storage_fault.h"
 #include "service/journal.h"
@@ -43,7 +45,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string tempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = rfp::test::tempPath(name);
   fs::remove_all(dir);
   return dir;
 }
@@ -283,7 +285,7 @@ TEST(Journal, CorruptCompleteRecordStopsReplay) {
 
 TEST(Journal, MissingFileReadsEmptyAndClean) {
   const JournalReadResult read =
-      readJournal(::testing::TempDir() + "/does-not-exist.wal");
+      readJournal(rfp::test::tempPath("does-not-exist.wal"));
   EXPECT_TRUE(read.records.empty());
   EXPECT_FALSE(read.tornTail);
   EXPECT_FALSE(read.corrupt);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 #include "common/det_hash.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -24,9 +26,7 @@
 namespace rfp::service {
 namespace {
 
-std::string tempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using rfp::test::tempPath;
 
 /// Cheap deployment for fleet tests: the new radar cost knobs cut one
 /// chirp from 500 samples x 7 antennas to 64 x 5, so hundreds of

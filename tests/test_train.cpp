@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 #include "common/atomic_io.h"
 #include "common/rng.h"
 #include "gan/trajectory_gan.h"
@@ -33,9 +35,7 @@ namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::string tempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using rfp::test::tempPath;
 
 gan::GanBatchStats batchStats(double dLoss, double gLoss, double winRate,
                               double gradNorm = 1.0, bool clipped = false) {

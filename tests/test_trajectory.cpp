@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 #include "common/rng.h"
 #include "trajectory/baselines.h"
 #include "trajectory/dataset_io.h"
@@ -209,7 +211,7 @@ TEST(DatasetIo, CsvRoundTrip) {
   rfp::common::Rng rng(11);
   HumanWalkModel model;
   const auto traces = model.dataset(4, rng);
-  const std::string path = ::testing::TempDir() + "/traces.csv";
+  const std::string path = rfp::test::tempPath("traces.csv");
   saveTracesCsv(path, traces);
   const auto loaded = loadTracesCsv(path);
   ASSERT_EQ(loaded.size(), traces.size());
@@ -228,7 +230,7 @@ TEST(DatasetIo, MissingFileThrows) {
 }
 
 TEST(DatasetIo, MalformedRowsThrowWithFileAndLine) {
-  const std::string path = ::testing::TempDir() + "/bad_traces.csv";
+  const std::string path = rfp::test::tempPath("bad_traces.csv");
   const char* bad[] = {
       "0,1.0\n",                // odd coordinate count (truncated row)
       "0\n",                    // no coordinates at all
