@@ -9,7 +9,8 @@
 ///   - windowed range FFTs/s at paper size (500 samples, Hann window,
 ///     zero-padded to 1024: signal::fftWindowedInto),
 ///   - Eq. 2 beamforming maps/s at paper size (227 rows x 181 angles x 7
-///     antennas, four rows per call as Processor runs them),
+///     antennas on the paper processor's steering matrix, one call per
+///     map as Processor runs it),
 ///   - counter-based AWGN samples/s on one paper-radar frame (7 antennas
 ///     x 500 samples, the noise kernel family),
 ///   - tone setups/s, the (miss, antenna) chains one setup call builds
@@ -238,39 +239,33 @@ double rangeFftThroughput(bool smoke, bool* bitExact) {
   return static_cast<double>(reps * kPaperAntennas) / seconds;
 }
 
+radar::RadarConfig paperRadar() {
+  radar::RadarConfig cfg;
+  cfg.position = {5.0, 0.05};
+  cfg.noisePower = 1e-6;
+  return cfg;
+}
+
 /// Eq. 2 beamforming of one paper-radar map (227 rows x 181 angles x 7
-/// antennas) through the active level's rows kernel, four rows per call
-/// as Processor::processInto runs it.
+/// antennas) through the active level's rows kernel on the paper
+/// processor's steering matrix, one call per map as
+/// Processor::processInto makes it.
 double beamformThroughput(bool smoke, bool* bitExact) {
   constexpr std::size_t kRows = 227;
-  constexpr std::size_t kAngles = 181;
-  constexpr std::size_t kRowsPerCall = 4;
   const std::size_t reps = smoke ? 20 : 1000;
   const KernelLevel level = common::simd::activeKernelLevel();
+  const radar::Processor proc(paperRadar());
+  const radar::SteeringMatrix& steering = proc.steering();
+  const std::size_t angles = proc.anglesRad().size();
   const auto spectra = randomSignal(kRows * kPaperAntennas, 401);
-  std::vector<std::complex<double>> w(kAngles * kPaperAntennas);
-  std::vector<double> reT(w.size()), imT(w.size());
-  for (std::size_t a = 0; a < kAngles; ++a) {
-    for (std::size_t k = 0; k < kPaperAntennas; ++k) {
-      const std::complex<double> v =
-          std::polar(1.0, 0.37 * static_cast<double>(k) *
-                              static_cast<double>(a + 1));
-      w[a * kPaperAntennas + k] = v;
-      reT[k * kAngles + a] = v.real();
-      imT[k * kAngles + a] = v.imag();
-    }
-  }
   const auto sweep = [&](radar::detail::BeamformRowsFn fn,
                          std::vector<double>& map) {
-    for (std::size_t r = 0; r < kRows; r += kRowsPerCall) {
-      fn(spectra.data() + r * kPaperAntennas,
-         std::min(kRowsPerCall, kRows - r), w.data(), reT.data(), imT.data(),
-         kPaperAntennas, kAngles, map.data() + r * kAngles);
-    }
+    fn(spectra.data(), kRows, steering.w.data(), steering.reT.data(),
+       steering.imT.data(), kPaperAntennas, angles, map.data());
   };
   const radar::detail::BeamformRowsFn fn =
       radar::detail::beamformRowsForLevel(level);
-  std::vector<double> map(kRows * kAngles);
+  std::vector<double> map(kRows * angles);
   sweep(fn, map);  // warm-up
   bench::WallTimer timer;
   for (std::size_t r = 0; r < reps; ++r) {
@@ -286,13 +281,6 @@ double beamformThroughput(bool smoke, bool* bitExact) {
   *bitExact =
       std::memcmp(map.data(), ref.data(), map.size() * sizeof(double)) == 0;
   return static_cast<double>(reps) / seconds;
-}
-
-radar::RadarConfig paperRadar() {
-  radar::RadarConfig cfg;
-  cfg.position = {5.0, 0.05};
-  cfg.noisePower = 1e-6;
-  return cfg;
 }
 
 /// The paper radar cut to \p antennas elements and \p samples samples.

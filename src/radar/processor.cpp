@@ -20,18 +20,6 @@ namespace rfp::radar {
 
 using rfp::common::Vec2;
 
-/// One shared steering-matrix cache entry: the row-major [angle][antenna]
-/// Eq. 2 matrix plus its transposed, deinterleaved planes ([antenna 0's
-/// factor for every angle, then antenna 1's, ...]). The planes are what
-/// the angle-batched beamformRows kernels stream -- contiguous loads
-/// across angle lanes instead of a strided gather -- while the scalar
-/// kernels use the interleaved matrix.
-struct SteeringMatrix {
-  std::vector<Complex> w;   ///< [angle][antenna]
-  std::vector<double> reT;  ///< [antenna][angle], real parts
-  std::vector<double> imT;  ///< [antenna][angle], imaginary parts
-};
-
 namespace {
 
 /// Process-wide steering-matrix cache. Keyed by everything the matrix
@@ -55,10 +43,11 @@ std::uint64_t steeringUseCounter = 0;
 std::size_t steeringCacheBytes = 0;
 
 std::size_t steeringBytes(const SteeringKey& key) {
-  // Interleaved matrix + the two transposed planes (each pair of doubles
-  // in the planes mirrors one Complex).
-  return std::get<0>(key) * static_cast<std::size_t>(std::get<1>(key)) *
-         (2 * sizeof(Complex));
+  // Interleaved matrix of every angle + the two planes of the first
+  // ceil(numAngles / 2) (each pair of plane doubles is one Complex).
+  const std::size_t numAngles = std::get<0>(key);
+  return (numAngles + (numAngles + 1) / 2) *
+         static_cast<std::size_t>(std::get<1>(key)) * sizeof(Complex);
 }
 
 std::shared_ptr<const SteeringMatrix> steeringFor(
@@ -78,10 +67,11 @@ std::shared_ptr<const SteeringMatrix> steeringFor(
     const double twoPi = 2.0 * rfp::common::pi();
     const std::size_t numAngles = anglesRad.size();
     const std::size_t nAnt = static_cast<std::size_t>(numAntennas);
+    const std::size_t h = (numAngles + 1) / 2;
     SteeringMatrix m;
     m.w.resize(numAngles * nAnt);
-    m.reT.resize(nAnt * numAngles);
-    m.imT.resize(nAnt * numAngles);
+    m.reT.resize(nAnt * h);
+    m.imT.resize(nAnt * h);
     for (std::size_t a = 0; a < numAngles; ++a) {
       const double cosTheta = std::cos(anglesRad[a]);
       for (std::size_t k = 0; k < nAnt; ++k) {
@@ -89,8 +79,10 @@ std::shared_ptr<const SteeringMatrix> steeringFor(
             1.0,
             twoPi * spacingM * static_cast<double>(k) * cosTheta / lambda);
         m.w[a * nAnt + k] = v;
-        m.reT[k * numAngles + a] = v.real();
-        m.imT[k * numAngles + a] = v.imag();
+        if (a < h) {
+          m.reT[k * h + a] = v.real();
+          m.imT[k * h + a] = v.imag();
+        }
       }
     }
     it = cache

@@ -63,8 +63,20 @@ struct RangeAngleMap {
   double totalPower() const;
 };
 
-/// One steering-matrix cache entry (defined in processor.cpp).
-struct SteeringMatrix;
+/// The Eq. 2 steering matrix of one (numAngles, numAntennas, spacing,
+/// wavelength) tuple, a shared immutable entry of the process-wide cache:
+/// the row-major matrix of every angle, which the sse2 beamforming kernel
+/// sweeps, and deinterleaved [antenna][angle] planes of its first h =
+/// ceil(numAngles / 2) angles, which the FMA levels' pair kernels stream
+/// -- contiguous loads across angle lanes. Those kernels take angle
+/// numAngles - 1 - a as the conjugate of angle a, which the grid
+/// theta_a = pi (a + 1) / (numAngles + 1) gives up to the rounding of the
+/// computed entries (DESIGN.md Sec. 13).
+struct SteeringMatrix {
+  std::vector<Complex> w;   ///< [angle][antenna], every angle
+  std::vector<double> reT;  ///< [antenna][angle < h], real parts, stride h
+  std::vector<double> imT;  ///< [antenna][angle < h], imaginary parts
+};
 
 /// Processor options.
 struct ProcessorOptions {
@@ -133,6 +145,11 @@ class Processor {
 
   /// Inverse of toWorld: (range, angle-from-array-axis) of a world point.
   rfp::common::Polar toRadarPolar(rfp::common::Vec2 world) const;
+
+  /// The beamforming angle grid, theta_a = pi (a + 1) / (numAngleBins +
+  /// 1), and the steering matrix process() beamforms with.
+  const std::vector<double>& anglesRad() const { return anglesRad_; }
+  const SteeringMatrix& steering() const { return *steering_; }
 
  private:
   void checkShape(const Frame& frame) const;
