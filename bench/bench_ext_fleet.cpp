@@ -31,26 +31,15 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cpuid.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "core/harness.h"
-#include "core/rfprotect_system.h"
-#include "core/scenario.h"
-#include "core/scenario_config.h"
 #include "fault/scenario_fault.h"
-#include "env/environment.h"
-#include "radar/frontend.h"
-#include "radar/processor.h"
-#include "radar/tone_memo.h"
 #include "service/fleet_engine.h"
-#include "trajectory/human_walk.h"
 
 namespace {
 
@@ -137,70 +126,8 @@ ScaleResult runScale(std::size_t scenarios) {
 }
 
 // ---------------------------------------------------------------------------
-// Tone-memo identity gate
+// Thread-count identity gate
 // ---------------------------------------------------------------------------
-
-/// The scatterer lists of one fleet home's frames, built in the fleet
-/// job's RNG order (reflector injection, then the scene snapshot).
-struct HomeScenes {
-  radar::RadarConfig radar;
-  std::vector<std::vector<env::PointScatterer>> scenes;
-  std::vector<double> times;
-};
-
-HomeScenes recordHomeScenes() {
-  std::istringstream in(kFleetScenario);
-  core::Scenario scenario = core::loadScenario(in, "identity-gate");
-  rfp::common::Rng rng(1001);
-  trajectory::HumanWalkModel model;
-  trajectory::Trace trace;
-  do {
-    trace = trajectory::centered(model.sample(rng));
-  } while (trajectory::motionRange(trace) > 3.5);
-  core::RfProtectSystem system(scenario.makeController());
-  const double dt = 1.0 / scenario.sensing.radar.frameRateHz;
-  system.addGhostAuto(trace, 2.0 * dt, scenario.plan, rng);
-  env::Environment environment(scenario.plan);
-
-  HomeScenes out;
-  out.radar = scenario.sensing.radar;
-  const double duration = 2.0 * dt + rfp::common::kTraceDurationS + 2.0 * dt;
-  for (double t = 0.0; t <= duration; t += dt) {
-    const auto injected = system.injectAt(t);
-    out.scenes.emplace_back();
-    core::combineScatterersInto(out.scenes.back(), environment, t, rng,
-                                scenario.snapshot, injected);
-    out.times.push_back(t);
-  }
-  return out;
-}
-
-/// The memcmp surface of the gate: every frame's raw I/Q bytes and its
-/// range-angle power map, synthesized with a tone memo (\p memo) or
-/// without one. If one bit anywhere differs, the byte strings differ.
-std::vector<std::uint8_t> runSceneBytes(const HomeScenes& home, bool memo,
-                                        std::uint64_t* hits) {
-  const radar::Frontend frontend(home.radar);
-  const radar::Processor processor(home.radar);
-  radar::ToneMemo toneMemo;
-  radar::Frame frame;
-  std::vector<std::uint8_t> bytes;
-  const auto append = [&bytes](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    bytes.insert(bytes.end(), b, b + n);
-  };
-  for (std::size_t f = 0; f < home.scenes.size(); ++f) {
-    frontend.synthesizeInto(frame, home.scenes[f], home.times[f], 1001, f,
-                            memo ? &toneMemo : nullptr);
-    for (const auto& row : frame.samples) {
-      append(row.data(), row.size() * sizeof(radar::Complex));
-    }
-    const radar::RangeAngleMap map = processor.process(frame);
-    append(map.power.data(), map.power.size() * sizeof(double));
-  }
-  if (hits != nullptr) *hits = toneMemo.stats().hits;
-  return bytes;
-}
 
 /// Engine-level identity surface: the service ledger bytes plus every
 /// scenario's retained metric stream, raw field bytes appended in id
@@ -232,46 +159,21 @@ std::string runEngineBytes() {
   return out;
 }
 
-/// Requires the frames and maps synthesized with a tone memo to be
-/// memcmp-equal to the memo-less ones at every kernel level this host
-/// runs, with real memo hits; a frame runs on its caller, so the pool
-/// size does not reach them. Then requires an engine wave (ledger +
-/// metric streams, every job with its memo) to be byte-identical on one
-/// thread and on four. Restores the pool size and kernel level it found.
-/// Returns true iff every check held.
-bool runMemoIdentityGate() {
-  namespace simd = rfp::common::simd;
-  const simd::KernelLevel entryLevel = simd::activeKernelLevel();
-  const HomeScenes home = recordHomeScenes();
-  bool allOk = true;
-  for (const simd::KernelLevel level : simd::availableKernelLevels()) {
-    simd::setActiveKernelLevel(level);
-    std::uint64_t hits = 0;
-    const std::vector<std::uint8_t> memo = runSceneBytes(home, true, &hits);
-    const std::vector<std::uint8_t> memoLess =
-        runSceneBytes(home, false, nullptr);
-    const bool ok = hits > 0 && !memo.empty() &&
-                    memo.size() == memoLess.size() &&
-                    std::memcmp(memo.data(), memoLess.data(), memo.size()) == 0;
-    std::printf("  identity kernel=%-8s  %zu bytes  %llu memo hits  %s\n",
-                simd::kernelLevelName(level), memo.size(),
-                static_cast<unsigned long long>(hits),
-                ok ? "bit-identical" : "DIVERGED");
-    allOk = allOk && ok;
-  }
-  simd::setActiveKernelLevel(entryLevel);
-
+/// Requires an engine wave (ledger + metric streams) to be
+/// byte-identical on one pool thread and on four (DESIGN.md Sec. 8).
+/// Restores the pool size it found. Returns true iff the check held.
+bool runThreadIdentityGate() {
   rfp::common::ThreadPool::setGlobalThreads(1);
   const std::string oneThread = runEngineBytes();
   rfp::common::ThreadPool::setGlobalThreads(4);
   const std::string fourThreads = runEngineBytes();
   rfp::common::ThreadPool::setGlobalThreads(0);  // back to RFP_THREADS / hw
-  const bool engineOk = !oneThread.empty() && oneThread == fourThreads;
+  const bool ok = !oneThread.empty() && oneThread == fourThreads;
   std::printf(
       "  identity engine wave, 1 vs 4 threads (ledger + metric streams)  "
       "%s\n",
-      engineOk ? "bit-identical" : "DIVERGED");
-  return allOk && engineOk;
+      ok ? "bit-identical" : "DIVERGED");
+  return ok;
 }
 
 struct ChaosResult {
@@ -368,7 +270,7 @@ bool metricsBitIdentical(const ChaosResult& a, const ChaosResult& b) {
 
 void writeJson(const std::vector<ScaleResult>& scales,
                const ChaosResult& chaos, bool smoke, bool healthyIdentical,
-               bool ledgerDeterministic, bool memoIdentity) {
+               bool ledgerDeterministic, bool threadIdentity) {
   bench::JsonWriter json;
   json.beginObject()
       .field("scenario", "fleet-home")
@@ -376,7 +278,7 @@ void writeJson(const std::vector<ScaleResult>& scales,
   bench::stampRunProvenance(json)
       .field("healthy_metrics_bit_identical", healthyIdentical)
       .field("service_ledger_deterministic", ledgerDeterministic)
-      .field("memo_bit_identical", memoIdentity)
+      .field("thread_count_bit_identical", threadIdentity)
       .beginArray("scales");
   for (const ScaleResult& s : scales) {
     json.beginObject()
@@ -430,8 +332,8 @@ int runSweep(bool smoke) {
         s.counters.shed);
   }
 
-  std::printf("  running tone-memo identity gate ...\n");
-  const bool memoIdentity = runMemoIdentityGate();
+  std::printf("  running thread-count identity gate ...\n");
+  const bool threadIdentity = runThreadIdentityGate();
 
   std::printf("  running chaos case (x2 for ledger determinism) ...\n");
   const ChaosResult quiet = runChaosCase(/*withChaos=*/false);
@@ -447,7 +349,7 @@ int runSweep(bool smoke) {
       chaos.counters.rejected, chaos.tierRecords);
 
   writeJson(scales, chaos, smoke, healthyIdentical, ledgerDeterministic,
-            memoIdentity);
+            threadIdentity);
   std::printf("\n  wrote %s\n", kOutputPath);
 
   // Acceptance shape checks (mirrors ISSUE/EXPERIMENTS.md):
@@ -477,9 +379,8 @@ int runSweep(bool smoke) {
         "same-seed run");
   check(ledgerDeterministic,
         "service ledger byte-identical across two same-seed chaos runs");
-  check(memoIdentity,
-        "tone-memo frames and maps memcmp-equal to memo-less at 1/2/4 "
-        "threads, sse2 + best kernel; engine wave equal at 1 and 4 threads");
+  check(threadIdentity,
+        "engine wave's ledger and metric streams equal at 1 and 4 threads");
   return status;
 }
 
@@ -502,12 +403,12 @@ BENCHMARK(BM_FleetEpochRound)->Unit(benchmark::kMillisecond)->Iterations(20);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --identity runs only the tone-memo bit-identity gate (the fast
+  // --identity runs only the thread-count identity gate (the fast
   // CI-matrix entry point); --smoke runs the full sweep minus the
   // google-benchmark timing loop.
   if (argc > 1 && std::strcmp(argv[1], "--identity") == 0) {
-    bench::printHeader("Fleet tone-memo identity gate");
-    const bool ok = runMemoIdentityGate();
+    bench::printHeader("Fleet thread-count identity gate");
+    const bool ok = runThreadIdentityGate();
     std::printf("  identity gate: %s\n", ok ? "holds" : "VIOLATED");
     return ok ? 0 : 1;
   }

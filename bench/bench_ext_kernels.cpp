@@ -13,8 +13,8 @@
 ///     map as Processor runs it),
 ///   - counter-based AWGN samples/s on one paper-radar frame (7 antennas
 ///     x 500 samples, the noise kernel family),
-///   - tone setups/s, the (miss, antenna) chains one setup call builds
-///     for a toy frame's memo misses (10 misses x 3 antennas),
+///   - tone setups/s, the (tone, antenna) chains one setup call builds
+///     for a toy frame's tones (10 tones x 3 antennas),
 ///   - tone rows/s of the chains kernel at paper size (19 chains x 500
 ///     samples x 7 antennas) and toy size (13 chains x 8 samples x 3
 ///     antennas), their tone setup included,
@@ -31,15 +31,18 @@
 /// reference stage passes, the beamforming map memcmp-equal to
 /// beamformRowsScalar / beamformRowsFmaRef, the noise frame memcmp-equal
 /// to awgnAccumScalar / awgnAccumFmaRef, the tone setup's chains at 0-17
-/// misses memcmp-equal to the seed expressions (sse2) or toneSetupFmaRef
+/// tones memcmp-equal to the seed expressions (sse2) or toneSetupFmaRef
 /// (FMA levels), the tone rows memcmp-equal to
 /// the level's single-chain loop run chain after chain, the detection
 /// maps' noise floors and candidate lists memcmp-equal to the sse2 run's)
-/// so the sweep doubles as a cheap determinism gate. Emits
-/// `BENCH_kernels.json` with the detected CPU feature flags; on a host
-/// without AVX2+FMA only the sse2 row is produced (the JSON records that
-/// explicitly so results from such a box are not misread as a
-/// regression). `--smoke` is the CI variant: tiny
+/// so the sweep doubles as a cheap determinism gate. The checks run once
+/// per level. The timings run in five rounds, each sweeping every level
+/// in turn, and every column reports its median with the min and max of
+/// the rounds: one sweep of a loaded host swings by tens of percent.
+/// Emits `BENCH_kernels.json` with the detected CPU feature flags; on a
+/// host without AVX2+FMA only the sse2 row is produced (the JSON records
+/// that explicitly so results from such a box are not misread as a
+/// regression). `--smoke` is the CI variant: one round of tiny
 /// workloads, non-zero exit if any bit-identity check fails.
 
 #include <benchmark/benchmark.h>
@@ -56,6 +59,7 @@
 #include "bench_util.h"
 #include "common/constants.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/vec2.h"
 #include "core/eavesdropper.h"
@@ -89,29 +93,54 @@ Matrix randomMatrix(std::size_t rows, std::size_t cols, common::Rng& rng) {
   return m;
 }
 
-/// One measured row of the sweep (all at the forced kernel level).
-struct LevelRow {
-  KernelLevel level;
+/// One round's timings at one level (all at the forced kernel level).
+struct Timings {
   double gemmGflopsCube = 0.0;    ///< 256^3 (smoke: 64^3), 1 thread
   double gemmGflopsGan = 0.0;     ///< 784x40x128 tall-skinny, 1 thread
   double fftTransformsPerSec = 0.0;
   double rangeFftsPerSec = 0.0;    ///< windowed 500 -> 1024, 1 thread
   double beamformMapsPerSec = 0.0;  ///< 227 x 181 x 7, 1 thread
   double awgnSamplesPerSec = 0.0;  ///< 7 x 500 frame, 1 thread
-  double toneSetupsPerSec = 0.0;  ///< 10 misses x 3 antennas, 1 thread
+  double toneSetupsPerSec = 0.0;  ///< 10 tones x 3 antennas, 1 thread
   double toneRowsPaperPerSec = 0.0;  ///< 19 chains x 500 samples, 1 thread
   double toneRowsToyPerSec = 0.0;    ///< 13 chains x 8 samples, 1 thread
   double radarFramesPerSec = 0.0;
   double detectMapsPerSec = 0.0;  ///< office 227 x 181 maps, 1 thread
-  std::uint64_t detectMisses = 0;  ///< sampled brackets that missed
   double ganStepsPerSec = 0.0;
-  bool gemmBitExact = false;  ///< memcmp vs referenceGemmForLevel
-  bool rangeFftBitExact = false;  ///< memcmp vs the reference chain
-  bool beamformBitExact = false;  ///< memcmp vs the level's rows reference
-  bool awgnBitExact = false;  ///< memcmp vs the level's noise reference
-  bool toneSetupBitExact = false;  ///< memcmp vs the level's reference
-  bool toneBitExact = false;  ///< memcmp vs the single-chain loop
-  bool detectBitExact = false;  ///< floor + candidates memcmp vs sse2
+};
+
+/// A timed column: its JSON key, printed label, print scale and unit.
+struct Column {
+  const char* key;
+  const char* label;
+  double scale;
+  const char* unit;
+  double Timings::*field;
+};
+
+constexpr Column kColumns[] = {
+    {"gemm_gflops_cube", "gemm cube", 1.0, "GFLOP/s",
+     &Timings::gemmGflopsCube},
+    {"gemm_gflops_gan_shape", "gemm gan shape", 1.0, "GFLOP/s",
+     &Timings::gemmGflopsGan},
+    {"fft_transforms_per_sec", "fft", 1.0, "/s",
+     &Timings::fftTransformsPerSec},
+    {"range_ffts_per_sec", "range fft", 1.0, "/s", &Timings::rangeFftsPerSec},
+    {"beamform_maps_per_sec", "beamform", 1.0, "maps/s",
+     &Timings::beamformMapsPerSec},
+    {"awgn_samples_per_sec", "awgn", 1.0e6, "Msamples/s",
+     &Timings::awgnSamplesPerSec},
+    {"tone_setups_per_sec", "tone setup", 1.0e6, "M/s",
+     &Timings::toneSetupsPerSec},
+    {"tone_rows_paper_per_sec", "tone rows (paper)", 1.0, "/s",
+     &Timings::toneRowsPaperPerSec},
+    {"tone_rows_toy_per_sec", "tone rows (toy)", 1.0, "/s",
+     &Timings::toneRowsToyPerSec},
+    {"radar_frames_per_sec", "radar", 1.0, "frames/s",
+     &Timings::radarFramesPerSec},
+    {"detect_maps_per_sec", "detect", 1.0, "maps/s",
+     &Timings::detectMapsPerSec},
+    {"gan_steps_per_sec", "gan", 1.0, "steps/s", &Timings::ganStepsPerSec},
 };
 
 double gemmGflops(std::size_t m, std::size_t k, std::size_t n, bool smoke,
@@ -201,7 +230,8 @@ std::vector<signal::Complex> referenceRangeFft(
 
 /// Windowed, zero-padded range FFTs of one paper-radar frame (7 antennas x
 /// 500 samples into 1024 bins) at the active level; the rate counts
-/// transforms.
+/// transforms. Every function below that takes \p bitExact runs its
+/// check only when the pointer is non-null.
 double rangeFftThroughput(bool smoke, bool* bitExact) {
   const std::size_t reps = smoke ? 20 : 2000;
   const KernelLevel level = common::simd::activeKernelLevel();
@@ -227,16 +257,19 @@ double rangeFftThroughput(bool smoke, bool* bitExact) {
     runFrame();
     benchmark::DoNotOptimize(out.data());
   }
-  const double seconds = timer.elapsedS();
+  const double rate = static_cast<double>(reps * kPaperAntennas) /
+                     timer.elapsedS();
 
-  *bitExact = true;
-  for (std::size_t k = 0; k < kPaperAntennas; ++k) {
-    const auto ref = referenceRangeFft(frame[k], window, *plan, level);
-    *bitExact = *bitExact &&
-                std::memcmp(ref.data(), out.data() + k * plan->n,
-                            plan->n * sizeof(signal::Complex)) == 0;
+  if (bitExact != nullptr) {
+    *bitExact = true;
+    for (std::size_t k = 0; k < kPaperAntennas; ++k) {
+      const auto ref = referenceRangeFft(frame[k], window, *plan, level);
+      *bitExact = *bitExact &&
+                  std::memcmp(ref.data(), out.data() + k * plan->n,
+                              plan->n * sizeof(signal::Complex)) == 0;
+    }
   }
-  return static_cast<double>(reps * kPaperAntennas) / seconds;
+  return rate;
 }
 
 radar::RadarConfig paperRadar() {
@@ -272,15 +305,17 @@ double beamformThroughput(bool smoke, bool* bitExact) {
     sweep(fn, map);
     benchmark::DoNotOptimize(map.data());
   }
-  const double seconds = timer.elapsedS();
+  const double rate = static_cast<double>(reps) / timer.elapsedS();
 
-  std::vector<double> ref(map.size());
-  sweep(level == KernelLevel::kSse2 ? &radar::detail::beamformRowsScalar
-                                    : &radar::detail::beamformRowsFmaRef,
-        ref);
-  *bitExact =
-      std::memcmp(map.data(), ref.data(), map.size() * sizeof(double)) == 0;
-  return static_cast<double>(reps) / seconds;
+  if (bitExact != nullptr) {
+    std::vector<double> ref(map.size());
+    sweep(level == KernelLevel::kSse2 ? &radar::detail::beamformRowsScalar
+                                      : &radar::detail::beamformRowsFmaRef,
+          ref);
+    *bitExact =
+        std::memcmp(map.data(), ref.data(), map.size() * sizeof(double)) == 0;
+  }
+  return rate;
 }
 
 /// The paper radar cut to \p antennas elements and \p samples samples.
@@ -292,10 +327,9 @@ radar::RadarConfig toneRadar(std::size_t antennas, std::size_t samples) {
   return cfg;
 }
 
-/// \p count memo misses in a 10 m x 10 m room before the radar, at
-/// columns 0 .. count - 1.
-radar::detail::ToneMisses benchMisses(std::size_t count, common::Rng& rng) {
-  radar::detail::ToneMisses m;
+/// \p count tones in a 10 m x 10 m room before the radar.
+radar::detail::ToneInputs benchTones(std::size_t count, common::Rng& rng) {
+  radar::detail::ToneInputs m;
   m.reset(count);
   for (std::size_t i = 0; i < count; ++i) {
     env::PointScatterer s;
@@ -305,7 +339,7 @@ radar::detail::ToneMisses benchMisses(std::size_t count, common::Rng& rng) {
     s.phaseOffsetRad = rng.uniform(-3.0, 3.0);
     const double dTx =
         (s.position - common::Vec2{5.0, 0.05}).norm() + s.radialOffsetM;
-    m.push(s, rng.uniform(0.01, 1.0), dTx, i);
+    m.push(s, rng.uniform(0.01, 1.0), dTx);
   }
   return m;
 }
@@ -313,7 +347,7 @@ radar::detail::ToneMisses benchMisses(std::size_t count, common::Rng& rng) {
 /// The seed's per-(scatterer, antenna) setup written out (hypot path
 /// lengths, std::polar, toneChain at sse2): the sse2 level's reference.
 void seedToneSetup(const radar::RadarConfig& cfg,
-                   const radar::detail::ToneMisses& m,
+                   const radar::detail::ToneInputs& m,
                    radar::detail::ToneChain* chains, std::size_t stride) {
   const double twoPi = 2.0 * common::pi();
   const double dt = 1.0 / cfg.chirp.sampleRateHz;
@@ -326,7 +360,7 @@ void seedToneSetup(const radar::RadarConfig& cfg,
       const double beatHz = cfg.chirp.slope() * tau + m.beatFreqOffsetHz[i];
       const double basePhase =
           twoPi * cfg.chirp.startHz * tau + m.phaseOffsetRad[i];
-      chains[static_cast<std::size_t>(k) * stride + m.column[i]] =
+      chains[static_cast<std::size_t>(k) * stride + i] =
           radar::detail::toneChain(
               KernelLevel::kSse2, std::polar(m.amplitude[i], basePhase),
               std::polar(1.0, twoPi * beatHz * dt));
@@ -334,56 +368,59 @@ void seedToneSetup(const radar::RadarConfig& cfg,
   }
 }
 
-/// Tone setups/s of the active level: (miss, antenna) chains built per
-/// second by one setup call of \p misses misses at \p antennas
-/// antennas, as a toy frame's memo misses take it. Before timing, every
-/// count 0-17 at 3 and 7 antennas is memcmp-checked against the level's
-/// reference: the seed expressions at sse2, toneSetupFmaRef above it.
-double toneSetupThroughput(std::size_t misses, std::size_t antennas,
+/// Tone setups/s of the active level: (tone, antenna) chains built per
+/// second by one setup call of \p tones tones at \p antennas antennas,
+/// as a toy frame's tones take it. The check covers every count 0-17 at
+/// 3 and 7 antennas against the level's reference: the seed expressions
+/// at sse2, toneSetupFmaRef above it.
+double toneSetupThroughput(std::size_t tones, std::size_t antennas,
                            std::size_t reps, bool* bitExact) {
   const KernelLevel level = common::simd::activeKernelLevel();
   const radar::detail::ToneSetupFn setup =
       radar::detail::toneSetupForLevel(level);
-  common::Rng rng(502);
-  *bitExact = true;
-  for (const std::size_t k : {std::size_t{3}, std::size_t{7}}) {
-    const radar::RadarConfig cfg = toneRadar(k, 500);
-    const radar::Frontend frontend(cfg);
-    for (std::size_t count = 0; count <= 17; ++count) {
-      const radar::detail::ToneMisses m = benchMisses(count, rng);
-      std::vector<radar::detail::ToneChain> out(k * count), ref(k * count);
-      setup(frontend.toneGeometry(), m, out.data(), count);
-      if (level == KernelLevel::kSse2) {
-        seedToneSetup(cfg, m, ref.data(), count);
-      } else {
-        radar::detail::toneSetupFmaRef(frontend.toneGeometry(), m,
-                                       ref.data(), count);
+  if (bitExact != nullptr) {
+    common::Rng rng(502);
+    *bitExact = true;
+    for (const std::size_t k : {std::size_t{3}, std::size_t{7}}) {
+      const radar::RadarConfig cfg = toneRadar(k, 500);
+      const radar::Frontend frontend(cfg);
+      for (std::size_t count = 0; count <= 17; ++count) {
+        const radar::detail::ToneInputs m = benchTones(count, rng);
+        std::vector<radar::detail::ToneChain> out(k * count), ref(k * count);
+        setup(frontend.toneGeometry(), m, out.data(), count);
+        if (level == KernelLevel::kSse2) {
+          seedToneSetup(cfg, m, ref.data(), count);
+        } else {
+          radar::detail::toneSetupFmaRef(frontend.toneGeometry(), m,
+                                         ref.data(), count);
+        }
+        *bitExact = *bitExact &&
+                    std::memcmp(out.data(), ref.data(),
+                                out.size() * sizeof(out[0])) == 0;
       }
-      *bitExact = *bitExact &&
-                  std::memcmp(out.data(), ref.data(),
-                              out.size() * sizeof(out[0])) == 0;
     }
   }
 
+  common::Rng rng(503);
   const radar::Frontend frontend(toneRadar(antennas, 8));
-  const radar::detail::ToneMisses m = benchMisses(misses, rng);
-  std::vector<radar::detail::ToneChain> chains(antennas * misses);
-  setup(frontend.toneGeometry(), m, chains.data(), misses);  // warm-up
+  const radar::detail::ToneInputs m = benchTones(tones, rng);
+  std::vector<radar::detail::ToneChain> chains(antennas * tones);
+  setup(frontend.toneGeometry(), m, chains.data(), tones);  // warm-up
   bench::WallTimer timer;
   for (std::size_t r = 0; r < reps; ++r) {
-    setup(frontend.toneGeometry(), m, chains.data(), misses);
+    setup(frontend.toneGeometry(), m, chains.data(), tones);
     benchmark::DoNotOptimize(chains.data());
   }
   const double seconds = timer.elapsedS();
-  return static_cast<double>(reps * misses * antennas) / seconds;
+  return static_cast<double>(reps * tones * antennas) / seconds;
 }
 
 /// Tone rows/s of the active level's chains kernel: \p antennas rows of
 /// \p samples samples, each taking \p chains tone chains in one call as
 /// Frontend::synthesizeInto makes it. The chains come from the level's
-/// tone setup inside the timed loop, as when every scatterer misses the
-/// memo. The frame is memcmp-checked against the level's single-chain
-/// loop run chain after chain.
+/// tone setup inside the timed loop, as every frame builds them. The
+/// frame is memcmp-checked against the level's single-chain loop run
+/// chain after chain.
 double toneRowsThroughput(std::size_t chains, std::size_t samples,
                           std::size_t antennas, std::size_t reps,
                           bool* bitExact) {
@@ -394,12 +431,12 @@ double toneRowsThroughput(std::size_t chains, std::size_t samples,
       radar::detail::toneSetupForLevel(level);
   const radar::Frontend frontend(toneRadar(antennas, samples));
   common::Rng rng(501);
-  const radar::detail::ToneMisses misses = benchMisses(chains, rng);
+  const radar::detail::ToneInputs tones = benchTones(chains, rng);
   std::vector<radar::detail::ToneChain> starts(antennas * chains);
   std::vector<std::complex<double>> frame(antennas * samples);
   const auto runFrame = [&](radar::detail::ToneAccumChainsFn kernel) {
     std::fill(frame.begin(), frame.end(), std::complex<double>{});
-    setup(frontend.toneGeometry(), misses, starts.data(), chains);
+    setup(frontend.toneGeometry(), tones, starts.data(), chains);
     for (std::size_t k = 0; k < antennas; ++k) {
       kernel(frame.data() + k * samples, samples,
              starts.data() + k * chains, chains);
@@ -411,23 +448,25 @@ double toneRowsThroughput(std::size_t chains, std::size_t samples,
     runFrame(fn);
     benchmark::DoNotOptimize(frame.data());
   }
-  const double seconds = timer.elapsedS();
+  const double rate = static_cast<double>(reps * antennas) / timer.elapsedS();
 
-  const std::vector<std::complex<double>> out = frame;
-  const radar::detail::ToneAccumChainsFn single =
-      level == KernelLevel::kSse2 ? &radar::detail::toneAccumChainsScalar
-                                  : &radar::detail::toneAccumChainsFmaRef;
-  runFrame([](std::complex<double>*, std::size_t,
-              const radar::detail::ToneChain*, std::size_t) {});
-  for (std::size_t k = 0; k < antennas; ++k) {
-    for (std::size_t c = 0; c < chains; ++c) {
-      single(frame.data() + k * samples, samples,
-             starts.data() + k * chains + c, 1);
+  if (bitExact != nullptr) {
+    const std::vector<std::complex<double>> out = frame;
+    const radar::detail::ToneAccumChainsFn single =
+        level == KernelLevel::kSse2 ? &radar::detail::toneAccumChainsScalar
+                                    : &radar::detail::toneAccumChainsFmaRef;
+    runFrame([](std::complex<double>*, std::size_t,
+                const radar::detail::ToneChain*, std::size_t) {});
+    for (std::size_t k = 0; k < antennas; ++k) {
+      for (std::size_t c = 0; c < chains; ++c) {
+        single(frame.data() + k * samples, samples,
+               starts.data() + k * chains + c, 1);
+      }
     }
+    *bitExact = std::memcmp(out.data(), frame.data(),
+                            frame.size() * sizeof(frame[0])) == 0;
   }
-  *bitExact = std::memcmp(out.data(), frame.data(),
-                          frame.size() * sizeof(frame[0])) == 0;
-  return static_cast<double>(reps * antennas) / seconds;
+  return rate;
 }
 
 /// Noise kernel of the active level on one paper-radar frame: 7 antenna
@@ -452,18 +491,21 @@ double awgnThroughput(bool smoke, bool* bitExact) {
     runFrame(fn, r);
     benchmark::DoNotOptimize(frame.data());
   }
-  const double seconds = timer.elapsedS();
+  const double rate =
+      static_cast<double>(reps * kAntennas * kSamples) / timer.elapsedS();
 
-  std::fill(frame.begin(), frame.end(), std::complex<double>{});
-  runFrame(fn, 7);
-  const std::vector<std::complex<double>> out = frame;
-  std::fill(frame.begin(), frame.end(), std::complex<double>{});
-  runFrame(level == KernelLevel::kSse2 ? &signal::detail::awgnAccumScalar
-                                       : &signal::detail::awgnAccumFmaRef,
-           7);
-  *bitExact = std::memcmp(out.data(), frame.data(),
-                          frame.size() * sizeof(frame[0])) == 0;
-  return static_cast<double>(reps * kAntennas * kSamples) / seconds;
+  if (bitExact != nullptr) {
+    std::fill(frame.begin(), frame.end(), std::complex<double>{});
+    runFrame(fn, 7);
+    const std::vector<std::complex<double>> out = frame;
+    std::fill(frame.begin(), frame.end(), std::complex<double>{});
+    runFrame(level == KernelLevel::kSse2 ? &signal::detail::awgnAccumScalar
+                                         : &signal::detail::awgnAccumFmaRef,
+             7);
+    *bitExact = std::memcmp(out.data(), frame.data(),
+                            frame.size() * sizeof(frame[0])) == 0;
+  }
+  return rate;
 }
 
 /// Two scatterers in front of the paper radar, the second weaker.
@@ -544,9 +586,9 @@ struct DetectionOutput {
 };
 
 /// PeakDetector::detectInto at the active level over \p maps, \p reps
-/// passes, returning maps/s. \p output receives each map's noise floor,
-/// every candidate of every map (no NMS, no cap) in map order, and the
-/// misses counted over the first pass.
+/// passes after a warm-up pass, returning maps/s. A non-null \p output
+/// receives each map's noise floor, every candidate of every map (no NMS,
+/// no cap) in map order, and the misses counted over the warm-up pass.
 double detectionThroughput(const std::vector<radar::RangeAngleMap>& maps,
                            const radar::Processor& processor,
                            std::size_t reps, DetectionOutput* output) {
@@ -560,11 +602,12 @@ double detectionThroughput(const std::vector<radar::RangeAngleMap>& maps,
   std::vector<tracking::Detection> found;
   for (const radar::RangeAngleMap& map : maps) {  // warm, and the output
     detector.detectInto(map, processor, scratch, found);
+    if (output == nullptr) continue;
     output->candidates.insert(output->candidates.end(), found.begin(),
                               found.end());
     output->floors.push_back(tracking::PeakDetector::noiseFloor(map));
   }
-  output->misses = scratch.misses;
+  if (output != nullptr) output->misses = scratch.misses;
   bench::WallTimer timer;
   for (std::size_t r = 0; r < reps; ++r) {
     for (const radar::RangeAngleMap& map : maps) {
@@ -596,6 +639,78 @@ double ganThroughput(const std::vector<trajectory::Trace>& dataset,
   return static_cast<double>(steps) / timer.elapsedS();
 }
 
+/// One level's bit-identity checks, run in the first round only.
+struct Checks {
+  bool gemmCube = false;  ///< memcmp vs referenceGemmForLevel
+  bool gemmGanShape = false;
+  bool rangeFft = false;  ///< memcmp vs the reference chain
+  bool beamform = false;  ///< memcmp vs the level's rows reference
+  bool awgn = false;  ///< memcmp vs the level's noise reference
+  bool toneSetup = false;  ///< memcmp vs the level's reference
+  bool tonePaper = false;  ///< memcmp vs the single-chain loop
+  bool toneToy = false;
+  bool detect = false;  ///< floor + candidates memcmp vs sse2
+  DetectionOutput detection;
+
+  bool gemm() const { return gemmCube && gemmGanShape; }
+  bool tone() const { return tonePaper && toneToy; }
+};
+
+/// Times every column once at the active level; with \p checks, also
+/// runs every check.
+Timings timeLevel(bool smoke, const std::vector<trajectory::Trace>& dataset,
+                  const std::vector<radar::RangeAngleMap>& detectMaps,
+                  const radar::Processor& detectProcessor, Checks* checks) {
+  const auto flag = [checks](bool Checks::*member) {
+    return checks != nullptr ? &(checks->*member) : nullptr;
+  };
+  Timings t;
+  common::ThreadPool::setGlobalThreads(1);
+  if (smoke) {
+    t.gemmGflopsCube = gemmGflops(64, 64, 64, smoke, flag(&Checks::gemmCube));
+    t.gemmGflopsGan =
+        gemmGflops(33, 17, 29, smoke, flag(&Checks::gemmGanShape));
+  } else {
+    t.gemmGflopsCube =
+        gemmGflops(256, 256, 256, smoke, flag(&Checks::gemmCube));
+    t.gemmGflopsGan =
+        gemmGflops(784, 40, 128, smoke, flag(&Checks::gemmGanShape));
+  }
+  t.fftTransformsPerSec = fftThroughput(smoke);
+  t.rangeFftsPerSec = rangeFftThroughput(smoke, flag(&Checks::rangeFft));
+  t.beamformMapsPerSec = beamformThroughput(smoke, flag(&Checks::beamform));
+  t.awgnSamplesPerSec = awgnThroughput(smoke, flag(&Checks::awgn));
+  t.toneSetupsPerSec = toneSetupThroughput(10, 3, smoke ? 200 : 200000,
+                                           flag(&Checks::toneSetup));
+  t.toneRowsPaperPerSec =
+      toneRowsThroughput(19, kPaperSamples, kPaperAntennas, smoke ? 20 : 2000,
+                         flag(&Checks::tonePaper));
+  t.toneRowsToyPerSec = toneRowsThroughput(13, 8, 3, smoke ? 200 : 20000,
+                                           flag(&Checks::toneToy));
+  t.detectMapsPerSec =
+      detectionThroughput(detectMaps, detectProcessor, smoke ? 5 : 100,
+                          checks != nullptr ? &checks->detection : nullptr);
+  common::ThreadPool::setGlobalThreads(0);  // end-to-end uses the full pool
+  t.radarFramesPerSec = radarThroughput(smoke);
+  t.ganStepsPerSec = ganThroughput(dataset, smoke);
+  return t;
+}
+
+/// Median, min and max of one column over the rounds.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spreadOf(const std::vector<Timings>& rounds, double Timings::*field) {
+  std::vector<double> values;
+  for (const Timings& t : rounds) values.push_back(t.*field);
+  return {common::median(values),
+          *std::min_element(values.begin(), values.end()),
+          *std::max_element(values.begin(), values.end())};
+}
+
 int runKernelSweep(bool smoke) {
   bench::printHeader(
       "SIMD kernel sweep -- GEMM / FFT / beamforming / AWGN / radar / "
@@ -603,6 +718,7 @@ int runKernelSweep(bool smoke) {
   std::printf("  cpu features: %s\n",
               common::simd::cpuFeatureString().c_str());
 
+  // availableKernelLevels() starts with sse2, the detection reference.
   const std::vector<KernelLevel> levels = common::simd::availableKernelLevels();
   const bool fmaAvailable =
       levels.back() != KernelLevel::kSse2;
@@ -619,110 +735,78 @@ int runKernelSweep(bool smoke) {
   const radar::Processor detectProcessor(office.sensing.radar);
   const std::vector<radar::RangeAngleMap> detectMaps =
       officeDetectionMaps(office, smoke ? 4 : 32);
-  DetectionOutput sse2Detection;
 
+  // Levels interleave within each round, so a slow stretch of a shared
+  // host spreads over every level instead of landing on one.
+  const std::size_t rounds = smoke ? 1 : 5;
   const KernelLevel prevLevel = common::simd::activeKernelLevel();
-  bool allExact = true;
-  std::vector<LevelRow> rows;
-  for (KernelLevel level : levels) {
-    common::simd::setActiveKernelLevel(level);
-    LevelRow row;
-    row.level = level;
-
-    common::ThreadPool::setGlobalThreads(1);
-    bool cubeExact = false, ganShapeExact = false;
-    if (smoke) {
-      row.gemmGflopsCube = gemmGflops(64, 64, 64, smoke, &cubeExact);
-      row.gemmGflopsGan = gemmGflops(33, 17, 29, smoke, &ganShapeExact);
-    } else {
-      row.gemmGflopsCube = gemmGflops(256, 256, 256, smoke, &cubeExact);
-      row.gemmGflopsGan = gemmGflops(784, 40, 128, smoke, &ganShapeExact);
+  std::vector<Checks> checks(levels.size());
+  std::vector<std::vector<Timings>> timings(levels.size());
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      common::simd::setActiveKernelLevel(levels[l]);
+      timings[l].push_back(timeLevel(smoke, dataset, detectMaps,
+                                     detectProcessor,
+                                     r == 0 ? &checks[l] : nullptr));
     }
-    row.gemmBitExact = cubeExact && ganShapeExact;
-    allExact = allExact && row.gemmBitExact;
-    row.fftTransformsPerSec = fftThroughput(smoke);
-    row.rangeFftsPerSec = rangeFftThroughput(smoke, &row.rangeFftBitExact);
-    allExact = allExact && row.rangeFftBitExact;
-    row.beamformMapsPerSec = beamformThroughput(smoke, &row.beamformBitExact);
-    allExact = allExact && row.beamformBitExact;
-    row.awgnSamplesPerSec = awgnThroughput(smoke, &row.awgnBitExact);
-    allExact = allExact && row.awgnBitExact;
-    row.toneSetupsPerSec = toneSetupThroughput(10, 3, smoke ? 200 : 200000,
-                                               &row.toneSetupBitExact);
-    allExact = allExact && row.toneSetupBitExact;
-    bool paperToneExact = false, toyToneExact = false;
-    row.toneRowsPaperPerSec = toneRowsThroughput(
-        19, kPaperSamples, kPaperAntennas, smoke ? 20 : 2000, &paperToneExact);
-    row.toneRowsToyPerSec =
-        toneRowsThroughput(13, 8, 3, smoke ? 200 : 20000, &toyToneExact);
-    row.toneBitExact = paperToneExact && toyToneExact;
-    allExact = allExact && row.toneBitExact;
-    DetectionOutput detection;
-    row.detectMapsPerSec = detectionThroughput(
-        detectMaps, detectProcessor, smoke ? 5 : 100, &detection);
-    row.detectMisses = detection.misses;
-    if (level == KernelLevel::kSse2) sse2Detection = detection;
-    row.detectBitExact = detection == sse2Detection;
-    allExact = allExact && row.detectBitExact;
-    common::ThreadPool::setGlobalThreads(0);  // end-to-end uses the full pool
-    row.radarFramesPerSec = radarThroughput(smoke);
-    row.ganStepsPerSec = ganThroughput(dataset, smoke);
-    rows.push_back(row);
-
-    std::printf(
-        "  %-8s : gemm %7.2f / %7.2f GFLOP/s  fft %8.0f /s  range fft %8.0f "
-        "/s  beamform %6.0f maps/s  awgn %6.1f Msamples/s  tone setup "
-        "%6.1f M/s  tone rows %7.0f (paper) %8.0f (toy) /s  radar %6.1f "
-        "frames/s  detect %7.0f maps/s  gan %5.2f steps/s  gemm %s  range "
-        "fft %s  beamform %s  awgn %s  tone setup %s  tone %s  detect %s "
-        "(%zu candidates, %llu bracket misses over %zu maps)\n",
-        common::simd::kernelLevelName(level), row.gemmGflopsCube,
-        row.gemmGflopsGan, row.fftTransformsPerSec, row.rangeFftsPerSec,
-        row.beamformMapsPerSec, row.awgnSamplesPerSec / 1.0e6,
-        row.toneSetupsPerSec / 1.0e6, row.toneRowsPaperPerSec, row.toneRowsToyPerSec,
-        row.radarFramesPerSec, row.detectMapsPerSec, row.ganStepsPerSec,
-        row.gemmBitExact ? "bit-exact" : "MISMATCH",
-        row.rangeFftBitExact ? "bit-exact" : "MISMATCH",
-        row.beamformBitExact ? "bit-exact" : "MISMATCH",
-        row.awgnBitExact ? "bit-exact" : "MISMATCH",
-        row.toneSetupBitExact ? "bit-exact" : "MISMATCH",
-        row.toneBitExact ? "bit-exact" : "MISMATCH",
-        row.detectBitExact ? "matches sse2" : "MISMATCH",
-        detection.candidates.size(),
-        static_cast<unsigned long long>(row.detectMisses), detectMaps.size());
   }
   common::simd::setActiveKernelLevel(prevLevel);
+
+  bool allExact = true;
+  for (Checks& c : checks) {
+    c.detect = c.detection == checks.front().detection;
+    allExact = allExact && c.gemm() && c.rangeFft && c.beamform && c.awgn &&
+               c.toneSetup && c.tone() && c.detect;
+  }
+
+  const auto verdict = [](bool ok) { return ok ? "bit-exact" : "MISMATCH"; };
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const Checks& c = checks[l];
+    std::printf(
+        "  %-8s : gemm %s  range fft %s  beamform %s  awgn %s  tone setup "
+        "%s  tone %s  detect %s (%zu candidates, %llu bracket misses over "
+        "%zu maps); median [min-max] of %zu rounds:\n",
+        common::simd::kernelLevelName(levels[l]), verdict(c.gemm()),
+        verdict(c.rangeFft), verdict(c.beamform), verdict(c.awgn),
+        verdict(c.toneSetup), verdict(c.tone()),
+        c.detect ? "matches sse2" : "MISMATCH", c.detection.candidates.size(),
+        static_cast<unsigned long long>(c.detection.misses),
+        detectMaps.size(), rounds);
+    for (const Column& col : kColumns) {
+      const Spread v = spreadOf(timings[l], col.field);
+      std::printf("    %-18s %12.2f [%.2f-%.2f] %s\n", col.label,
+                  v.median / col.scale, v.min / col.scale, v.max / col.scale,
+                  col.unit);
+    }
+  }
 
   bench::JsonWriter json;
   json.beginObject()
       .field("bench", "kernels")
-      .field("smoke", smoke);
+      .field("smoke", smoke)
+      .field("rounds", rounds);
   bench::stampRunProvenance(json)
       .field("avx2_fma_available", fmaAvailable)
       .beginArray("levels");
-  for (const LevelRow& row : rows) {
-    json.beginObject()
-        .field("level", common::simd::kernelLevelName(row.level))
-        .field("gemm_gflops_cube", row.gemmGflopsCube)
-        .field("gemm_gflops_gan_shape", row.gemmGflopsGan)
-        .field("fft_transforms_per_sec", row.fftTransformsPerSec)
-        .field("range_ffts_per_sec", row.rangeFftsPerSec)
-        .field("beamform_maps_per_sec", row.beamformMapsPerSec)
-        .field("awgn_samples_per_sec", row.awgnSamplesPerSec)
-        .field("tone_setups_per_sec", row.toneSetupsPerSec)
-        .field("tone_rows_paper_per_sec", row.toneRowsPaperPerSec)
-        .field("tone_rows_toy_per_sec", row.toneRowsToyPerSec)
-        .field("radar_frames_per_sec", row.radarFramesPerSec)
-        .field("detect_maps_per_sec", row.detectMapsPerSec)
-        .field("detect_bracket_misses", row.detectMisses)
-        .field("gan_steps_per_sec", row.ganStepsPerSec)
-        .field("gemm_bit_exact", row.gemmBitExact)
-        .field("range_fft_bit_exact", row.rangeFftBitExact)
-        .field("beamform_bit_exact", row.beamformBitExact)
-        .field("awgn_bit_exact", row.awgnBitExact)
-        .field("tone_setup_bit_exact", row.toneSetupBitExact)
-        .field("tone_bit_exact", row.toneBitExact)
-        .field("detect_matches_sse2", row.detectBitExact)
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const Checks& c = checks[l];
+    json.beginObject().field("level",
+                             common::simd::kernelLevelName(levels[l]));
+    for (const Column& col : kColumns) {
+      const Spread v = spreadOf(timings[l], col.field);
+      const std::string key = col.key;
+      json.field(col.key, v.median)
+          .field((key + "_min").c_str(), v.min)
+          .field((key + "_max").c_str(), v.max);
+    }
+    json.field("detect_bracket_misses", c.detection.misses)
+        .field("gemm_bit_exact", c.gemm())
+        .field("range_fft_bit_exact", c.rangeFft)
+        .field("beamform_bit_exact", c.beamform)
+        .field("awgn_bit_exact", c.awgn)
+        .field("tone_setup_bit_exact", c.toneSetup)
+        .field("tone_bit_exact", c.tone())
+        .field("detect_matches_sse2", c.detect)
         .endObject();
   }
   json.endArray().field("all_bit_exact", allExact).endObject();

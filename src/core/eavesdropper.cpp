@@ -50,7 +50,7 @@ void EavesdropperRadar::senseRawInto(
   const std::uint64_t noiseSeed =
       config_.radar.noisePower > 0.0 ? rng.engine()() : 0;
   frontend_.synthesizeInto(frame, scatterers, timestampS, noiseSeed,
-                           /*chirpIndex=*/0, &toneMemo_);
+                           /*chirpIndex=*/0, synthScratch_);
 }
 
 void EavesdropperRadar::reset() {

@@ -6,14 +6,12 @@
 /// The legitimate sensor reuses the same sensing stack (Sec. 11.3) -- the
 /// only difference is what it does with the ledger.
 ///
-/// The stack owns a radar::ToneMemo, so repeated synthesis of a
-/// mostly-static scene reuses each scatterer's memoized tone-chain
-/// starts instead of re-deriving them -- bit-identical either way
-/// (tone_memo.h). The observeFrame() pipeline is also exposed as its
-/// steps (backgroundDiff / processor().processInto / observeDetections)
-/// so a frame loop can run it on reused buffers without a second code
-/// path: observe() and observeFrame() are themselves composed from the
-/// same pieces.
+/// The stack owns its synthesis, processing and detection scratch, so a
+/// frame loop on reused buffers allocates nothing in steady state. The
+/// observeFrame() pipeline is also exposed as its steps (backgroundDiff /
+/// processor().processInto / observeDetections) so a frame loop can run
+/// it on reused buffers without a second code path: observe() and
+/// observeFrame() are themselves composed from the same pieces.
 
 #include <optional>
 #include <span>
@@ -23,7 +21,6 @@
 #include "env/scatterer.h"
 #include "radar/frontend.h"
 #include "radar/processor.h"
-#include "radar/tone_memo.h"
 #include "tracking/detection.h"
 #include "tracking/tracker.h"
 
@@ -68,7 +65,8 @@ class EavesdropperRadar {
                                           double timestampS);
 
   /// Raw frame synthesis without processing (for phase-level analyses such
-  /// as breathing extraction, Fig. 14). Non-const: feeds the tone memo.
+  /// as breathing extraction, Fig. 14). Non-const: uses the stack's
+  /// synthesis scratch.
   radar::Frame senseRaw(std::span<const env::PointScatterer> scatterers,
                         double timestampS, rfp::common::Rng& rng);
 
@@ -98,9 +96,6 @@ class EavesdropperRadar {
   void observeDetections(const radar::RangeAngleMap& map, double timestampS,
                          std::vector<tracking::Detection>& detections);
 
-  /// The tone memo, for its hit counts.
-  const radar::ToneMemo& toneMemo() const { return toneMemo_; }
-
   /// Resets tracker and background state.
   void reset();
 
@@ -110,7 +105,7 @@ class EavesdropperRadar {
   radar::Processor processor_;
   tracking::PeakDetector detector_;
   tracking::MultiTargetTracker tracker_;
-  radar::ToneMemo toneMemo_;
+  radar::SynthScratch synthScratch_;
   radar::ProcessorScratch processorScratch_;
   tracking::DetectScratch detectScratch_;
 };

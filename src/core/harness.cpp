@@ -253,10 +253,6 @@ const radar::RangeAngleMap& SpoofEpochRunner::lastMap() const {
   return impl_->mapBuf;
 }
 
-const radar::ToneMemo& SpoofEpochRunner::toneMemo() const {
-  return impl_->radar.toneMemo();
-}
-
 SpoofRunResult SpoofEpochRunner::finish() {
   SpoofRunResult result = std::move(impl_->result);
   RfProtectSystem& system = impl_->system;

@@ -100,9 +100,6 @@ class SpoofEpochRunner {
   /// (reused storage, overwritten by the next processed frame).
   const radar::RangeAngleMap& lastMap() const;
 
-  /// The tone memo of the underlying eavesdropper stack.
-  const radar::ToneMemo& toneMemo() const;
-
   /// Rigid-aligned location errors, ledger decision counters, and link
   /// stats over the whole run; call once, after done().
   SpoofRunResult finish();

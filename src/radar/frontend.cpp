@@ -1,49 +1,19 @@
 #include "radar/frontend.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 #include "common/cpuid.h"
-#include "common/det_hash.h"
 #include "radar/simd_kernels.h"
-#include "radar/tone_memo.h"
 #include "signal/noise.h"
 
 namespace rfp::radar {
 
 using rfp::common::Vec2;
 
-namespace {
-
-std::uint64_t mixField(std::uint64_t h, double v) {
-  return rfp::common::splitmix64(h ^ std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
-
 Frontend::Frontend(RadarConfig config) : config_(std::move(config)) {
   config_.validate();
-  // Hash every field the tone math reads: chirp timing/sweep, array
-  // geometry, and the path-loss model. The kernel level is mixed in per
-  // frame by synthesizeInto() because it can change at runtime.
-  std::uint64_t h = 0x5ce7eca5eull;
-  h = mixField(h, config_.chirp.startHz);
-  h = mixField(h, config_.chirp.stopHz);
-  h = mixField(h, config_.chirp.durationS);
-  h = mixField(h, config_.chirp.sampleRateHz);
-  h = rfp::common::splitmix64(
-      h ^ static_cast<std::uint64_t>(config_.numAntennas));
-  h = mixField(h, config_.spacing());
-  h = mixField(h, config_.position.x);
-  h = mixField(h, config_.position.y);
-  h = mixField(h, config_.arrayAxis.x);
-  h = mixField(h, config_.arrayAxis.y);
-  h = mixField(h, config_.pathLossRefM);
-  h = mixField(h, config_.pathLossExponent);
-  configHash_ = h;
-
   for (int k = 0; k < config_.numAntennas; ++k) {
     const Vec2 rx = config_.antennaPosition(k);
     geometry_.rxX.push_back(rx.x);
@@ -72,8 +42,9 @@ Frame Frontend::synthesize(std::span<const env::PointScatterer> scatterers,
                            double timestampS, std::uint64_t noiseSeed,
                            std::uint64_t chirpIndex) const {
   Frame frame;
+  SynthScratch scratch;
   synthesizeInto(frame, scatterers, timestampS, noiseSeed, chirpIndex,
-                 /*memo=*/nullptr);
+                 scratch);
   return frame;
 }
 
@@ -81,7 +52,7 @@ void Frontend::synthesizeInto(Frame& frame,
                               std::span<const env::PointScatterer> scatterers,
                               double timestampS, std::uint64_t noiseSeed,
                               std::uint64_t chirpIndex,
-                              ToneMemo* memo) const {
+                              SynthScratch& scratch) const {
   const std::size_t numSamples = config_.chirp.samplesPerChirp();
   const std::size_t numAntennas =
       static_cast<std::size_t>(config_.numAntennas);
@@ -92,60 +63,37 @@ void Frontend::synthesizeInto(Frame& frame,
   for (auto& row : frame.samples) row.assign(numSamples, Complex{});
 
   // The tone kernels run at the cpuid-selected level (DESIGN.md Sec. 13),
-  // resolved once per frame; the memo is valid under this level only.
+  // resolved once per frame.
   const rfp::common::simd::KernelLevel level =
       rfp::common::simd::activeKernelLevel();
   const detail::ToneSetupFn setup = detail::toneSetupForLevel(level);
   const detail::ToneAccumChainsFn accumChains =
       detail::toneAccumChainsForLevel(level);
 
-  // Resolve pass, in list order: each scatterer's chains go to column
-  // `count` of the [antenna][scatterer] array, so every antenna row reads
-  // its chains contiguously in list order. A memo hit copies them there
-  // (the frame keeps its own copy because a later scatterer may overwrite
-  // the slot); a miss is listed for the setup call below. A scatterer
-  // whose amplitude after path loss is not positive (zero, negative or
-  // NaN) takes no column: a zero tone adds nothing, and a phasor's
-  // magnitude must be neither negative nor NaN.
-  const std::size_t stride = scatterers.size();
-  std::vector<detail::ToneChain> ownChains;
-  detail::ToneMisses ownMisses;
-  std::vector<detail::ToneChain>& chains =
-      memo != nullptr ? memo->frameChains() : ownChains;
-  detail::ToneMisses& misses =
-      memo != nullptr ? memo->frameMisses() : ownMisses;
-  chains.resize(numAntennas * stride);
-  misses.reset(stride);
-  if (memo != nullptr) {
-    memo->beginFrame(rfp::common::splitmix64(
-                         configHash_ ^ static_cast<std::uint64_t>(level)),
-                     numAntennas);
-  }
-  std::size_t count = 0;
+  // Resolve pass, in list order. A scatterer whose amplitude after path
+  // loss is not positive (zero, negative or NaN) is no tone: a zero tone
+  // adds nothing, and a phasor's magnitude must be neither negative nor
+  // NaN. Every other one is listed for the setup call below.
+  detail::ToneInputs& tones = scratch.tones;
+  tones.reset(scatterers.size());
   for (const env::PointScatterer& s : scatterers) {
-    bool nonzero = false;
-    if (memo != nullptr &&
-        memo->lookup(s, chains.data() + count, stride, nonzero)) {
-      count += nonzero ? 1 : 0;
-      continue;
-    }
     const double dTx = (s.position - txPos).norm() + s.radialOffsetM;
     const double amp = s.amplitude * pathAmplitude(dTx);
-    nonzero = amp > 0.0;
-    if (nonzero) misses.push(s, amp, dTx, count);
-    if (memo != nullptr) memo->pend(nonzero, count);
-    count += nonzero ? 1 : 0;
+    if (amp > 0.0) tones.push(s, amp, dTx);
   }
 
-  // One setup call builds every miss's chains, which the memo then keeps.
-  setup(geometry_, misses, chains.data(), stride);
-  if (memo != nullptr) memo->storePending(chains.data(), stride);
+  // One setup call builds tone i's chain at antenna k in column i of row
+  // k, so every antenna row reads its chains contiguously in list order.
+  const std::size_t count = tones.count;
+  scratch.chains.resize(numAntennas * count);
+  setup(geometry_, tones, scratch.chains.data(), count);
 
   // Each antenna adds its chains in list order in one kernel call, then
   // its own noise stream.
   for (std::size_t k = 0; k < numAntennas; ++k) {
     std::vector<Complex>& dst = frame.samples[k];
-    accumChains(dst.data(), numSamples, chains.data() + k * stride, count);
+    accumChains(dst.data(), numSamples, scratch.chains.data() + k * count,
+                count);
     if (config_.noisePower > 0.0) {
       rfp::signal::addAwgn(dst, config_.noisePower, noiseSeed, chirpIndex,
                            /*stream=*/k);

@@ -13,13 +13,12 @@
 /// its phase shifter adds `phaseOffsetRad` (paper Eq. 3 / Sec. 5.3).
 ///
 /// Determinism (DESIGN.md Sec. 8). A frame runs on the calling thread:
-/// each scatterer's per-antenna tone chains are resolved first (memo
-/// hits copied, then one tone setup call for every miss), then each
-/// antenna adds its scatterer tones in list order into its own sample
-/// buffer. Receiver noise comes from counter-based streams keyed
-/// (noiseSeed, chirpIndex, antenna, sample) rather than a shared
-/// sequential engine -- the Rng overload merely draws one 64-bit
-/// per-chirp seed and delegates.
+/// the scatterers are resolved in list order, one tone setup call builds
+/// the per-antenna tone chains of every nonzero one, then each antenna
+/// adds its scatterer tones in list order into its own sample buffer.
+/// Receiver noise comes from counter-based streams keyed (noiseSeed,
+/// chirpIndex, antenna, sample) rather than a shared sequential engine --
+/// the Rng overload merely draws one 64-bit per-chirp seed and delegates.
 
 #include <cstdint>
 #include <span>
@@ -33,12 +32,18 @@
 
 namespace rfp::radar {
 
-class ToneMemo;
+/// Per-frame working storage of Frontend::synthesizeInto: the frame's
+/// [antenna][tone] chain array and its tone inputs. Both only grow, so a
+/// caller that keeps one across frames allocates nothing in steady state.
+struct SynthScratch {
+  std::vector<detail::ToneChain> chains;
+  detail::ToneInputs tones;
+};
 
 /// Beat-signal synthesizer for a configured radar.
 ///
 /// Thread-safety: const -- synthesize() may be called concurrently from
-/// different threads, each with its own frame and memo.
+/// different threads, each with its own frame and scratch.
 class Frontend {
  public:
   explicit Frontend(RadarConfig config);
@@ -67,18 +72,15 @@ class Frontend {
                    double timestampS, std::uint64_t noiseSeed,
                    std::uint64_t chirpIndex) const;
 
-  /// Deterministic synthesis into a caller-owned buffer: \p frame is
-  /// resized (antenna rows reuse their capacity) and overwritten. With a
-  /// non-null \p memo each scatterer's per-antenna tone chains are
-  /// memoized across frames and a steady-state caller performs no
-  /// allocation; without one every chain is computed. The frame is
-  /// bit-identical either way (tone_memo.h). A memo must not be shared by
-  /// concurrent calls.
+  /// The deterministic overload into caller-owned buffers: \p frame is
+  /// resized (antenna rows reuse their capacity) and overwritten, and
+  /// \p scratch holds the frame's chains, so a caller that reuses both
+  /// performs no allocation in steady state. The frame is bit-identical
+  /// to synthesize()'s. A scratch must not be shared by concurrent calls.
   void synthesizeInto(Frame& frame,
                       std::span<const env::PointScatterer> scatterers,
                       double timestampS, std::uint64_t noiseSeed,
-                      std::uint64_t chirpIndex,
-                      ToneMemo* memo = nullptr) const;
+                      std::uint64_t chirpIndex, SynthScratch& scratch) const;
 
   /// Amplitude observed from a scatterer of unit reflectivity at distance
   /// \p d (radar-equation path loss, normalized at config.pathLossRefM).
@@ -86,7 +88,6 @@ class Frontend {
 
  private:
   RadarConfig config_;
-  std::uint64_t configHash_ = 0;  ///< tone-math fields, hashed once
   detail::ToneGeometry geometry_;  ///< what tone setup reads of config_
 };
 

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -26,40 +24,30 @@ namespace {
 /// depends on -- angle-grid size, array size, element spacing, and
 /// wavelength (doubles compared by exact bit pattern, so any config change
 /// resolves to a fresh entry rather than a stale one). Entries are
-/// immutable and shared across Processor instances and threads; least
-/// recently used entries are evicted once the steering half of the cache
-/// budget is exceeded (eviction is safe because instances hold shared_ptr
-/// references).
+/// immutable and shared across Processor instances and threads, under the
+/// steering half of the cache budget.
 using SteeringKey = std::tuple<std::size_t, int, std::uint64_t, std::uint64_t>;
 
-struct SteeringSlot {
-  std::shared_ptr<const SteeringMatrix> matrix;
-  std::uint64_t lastUse = 0;
-};
-
-std::mutex steeringMutex;
-std::map<SteeringKey, SteeringSlot> steeringCache;
-std::uint64_t steeringUseCounter = 0;
-std::size_t steeringCacheBytes = 0;
-
-std::size_t steeringBytes(const SteeringKey& key) {
+std::size_t steeringBytes(const SteeringMatrix& m) {
   // Interleaved matrix of every angle + the two planes of the first
-  // ceil(numAngles / 2) (each pair of plane doubles is one Complex).
-  const std::size_t numAngles = std::get<0>(key);
-  return (numAngles + (numAngles + 1) / 2) *
-         static_cast<std::size_t>(std::get<1>(key)) * sizeof(Complex);
+  // ceil(numAngles / 2).
+  return m.w.size() * sizeof(Complex) +
+         (m.reT.size() + m.imT.size()) * sizeof(double);
+}
+
+rfp::common::LruCache<SteeringKey, SteeringMatrix>& steeringCache() {
+  static rfp::common::LruCache<SteeringKey, SteeringMatrix> cache(
+      rfp::common::kCacheBudgetBytes / 2, &steeringBytes);
+  return cache;
 }
 
 std::shared_ptr<const SteeringMatrix> steeringFor(
     const std::vector<double>& anglesRad, int numAntennas, double spacingM,
     double lambda) {
-  auto& cache = steeringCache;
   const SteeringKey key{anglesRad.size(), numAntennas,
                         std::bit_cast<std::uint64_t>(spacingM),
                         std::bit_cast<std::uint64_t>(lambda)};
-  std::lock_guard<std::mutex> lock(steeringMutex);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
+  return steeringCache().get(key, [&] {
     // Steering phases: the synthesized receive phase of antenna k relative
     // to antenna 0 is -2*pi*k*d*cos(theta)/lambda (one-way path
     // shortening), so the matched beamformer multiplies by the conjugate
@@ -85,39 +73,13 @@ std::shared_ptr<const SteeringMatrix> steeringFor(
         }
       }
     }
-    it = cache
-             .emplace(key, SteeringSlot{std::make_shared<
-                                            const SteeringMatrix>(
-                                            std::move(m)),
-                                        0})
-             .first;
-    steeringCacheBytes += steeringBytes(key);
-    const std::size_t cap = rfp::common::kCacheBudgetBytes / 2;
-    while (steeringCacheBytes > cap && cache.size() > 1) {
-      auto victim = cache.end();
-      for (auto jt = cache.begin(); jt != cache.end(); ++jt) {
-        if (jt == it) continue;
-        if (victim == cache.end() ||
-            jt->second.lastUse < victim->second.lastUse) {
-          victim = jt;
-        }
-      }
-      if (victim == cache.end()) break;
-      steeringCacheBytes -=
-          std::min(steeringBytes(victim->first), steeringCacheBytes);
-      cache.erase(victim);
-    }
-  }
-  it->second.lastUse = ++steeringUseCounter;
-  return it->second.matrix;
+    return m;
+  });
 }
 
 }  // namespace
 
-std::size_t steeringCacheEntries() {
-  std::lock_guard<std::mutex> lock(steeringMutex);
-  return steeringCache.size();
-}
+std::size_t steeringCacheEntries() { return steeringCache().size(); }
 
 std::pair<std::size_t, std::size_t> RangeAngleMap::argmax() const {
   if (power.empty()) throw std::logic_error("RangeAngleMap::argmax: empty map");

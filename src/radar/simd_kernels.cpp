@@ -32,20 +32,19 @@ ToneChain toneChain(KernelLevel level, Complex phasor, Complex rot) {
   return {{phasor, p1, mul(phasor, rot2), mul(p1, rot2)}, mul(rot2, rot2)};
 }
 
-void ToneMisses::reset(std::size_t capacity) {
-  if (column.size() < capacity) {
+void ToneInputs::reset(std::size_t capacity) {
+  if (dTx.size() < capacity) {
     for (std::vector<double>* v : {&x, &y, &radialOffsetM, &amplitude,
                                    &beatFreqOffsetHz, &phaseOffsetRad,
                                    &dTx}) {
       v->resize(capacity);
     }
-    column.resize(capacity);
   }
   count = 0;
 }
 
-void ToneMisses::push(const env::PointScatterer& s, double amplitudeAfterLoss,
-                      double txPathM, std::size_t chainColumn) {
+void ToneInputs::push(const env::PointScatterer& s, double amplitudeAfterLoss,
+                      double txPathM) {
   x[count] = s.position.x;
   y[count] = s.position.y;
   radialOffsetM[count] = s.radialOffsetM;
@@ -53,15 +52,14 @@ void ToneMisses::push(const env::PointScatterer& s, double amplitudeAfterLoss,
   beatFreqOffsetHz[count] = s.beatFreqOffsetHz;
   phaseOffsetRad[count] = s.phaseOffsetRad;
   dTx[count] = txPathM;
-  column[count] = chainColumn;
   ++count;
 }
 
-void toneSetupScalar(const ToneGeometry& g, const ToneMisses& m,
+void toneSetupScalar(const ToneGeometry& g, const ToneInputs& m,
                      ToneChain* chains, std::size_t stride) {
   const double twoPi = 2.0 * rfp::common::pi();
   for (std::size_t i = 0; i < m.count; ++i) {
-    ToneChain* column = chains + m.column[i];
+    ToneChain* column = chains + i;
     for (std::size_t k = 0; k < g.rxX.size(); ++k) {
       const rfp::common::Vec2 d{m.x[i] - g.rxX[k], m.y[i] - g.rxY[k]};
       const double dRx = d.norm() + m.radialOffsetM[i];
@@ -87,11 +85,11 @@ SinCos toneSinCosFmaRef(double x) {
       r * kTwoOverPi, std::bit_cast<std::uint64_t>(shifted));
 }
 
-void toneSetupFmaRef(const ToneGeometry& g, const ToneMisses& m,
+void toneSetupFmaRef(const ToneGeometry& g, const ToneInputs& m,
                      ToneChain* chains, std::size_t stride) {
   const double twoPi = 2.0 * rfp::common::pi();
   for (std::size_t i = 0; i < m.count; ++i) {
-    ToneChain* column = chains + m.column[i];
+    ToneChain* column = chains + i;
     for (std::size_t k = 0; k < g.rxX.size(); ++k) {
       const double dx = m.x[i] - g.rxX[k];
       const double dy = m.y[i] - g.rxY[k];

@@ -52,10 +52,10 @@ struct ToneChain {
 ToneChain toneChain(rfp::common::simd::KernelLevel level, Complex phasor,
                     Complex rot);
 
-/// Tone setup: the chains of every scatterer a frame's memo missed, at
-/// every antenna, in one call (Frontend::synthesizeInto). Miss i's chain
-/// at antenna k goes to chains[k * stride + column[i]]: the tone
-/// phasor * rot^n with
+/// Tone setup: the chains of every nonzero scatterer of a frame, at
+/// every antenna, in one call (Frontend::synthesizeInto). Tone i's chain
+/// at antenna k goes to chains[k * stride + i]: the tone phasor * rot^n
+/// with
 ///
 ///   dRx      = |p_i - rx_k| + radialOffsetM_i
 ///   tau      = (dTx_i + dRx) / C
@@ -66,14 +66,14 @@ ToneChain toneChain(rfp::common::simd::KernelLevel level, Complex phasor,
 ///
 /// where dTx_i (|p_i - tx| + radial offset) and amplitude_i (path loss
 /// included) come from the caller, which needs them to decide whether
-/// the scatterer takes a column at all.
+/// the scatterer is a tone at all.
 ///  - toneSetupScalar (sse2) is the seed: dRx by std::hypot, phasor and
 ///    rot by std::polar (libm sincos), the chain by toneChain(kSse2, ..).
 ///  - toneSetupFmaRef and toneSetupAvx2, which runs at avx2_fma and
 ///    avx512 alike, run the chain below, which calls no libm function;
 ///    the kernel is bit-identical to the reference, lane by lane.
 ///
-/// FMA-regime chain per (miss, antenna), dx and dy the differences above:
+/// FMA-regime chain per (tone, antenna), dx and dy the differences above:
 ///   dRx = sqrt(fma(dx, dx, dy * dy)) + radialOffsetM; tau, beatHz, phase
 ///         and a by the plain products and sums above, in that order.
 ///   sin/cos(x), for x = phase and x = a: q = nearest(x * kTwoOverPi) by
@@ -108,36 +108,36 @@ struct ToneGeometry {
   double sampleIntervalS = 0.0;
 };
 
-/// One frame's memo misses, struct of arrays: miss i is the scatterer
-/// whose inputs sit at index i of every array. The arrays only grow, so
-/// a steady-state frame reuses their capacity (ToneMemo keeps one).
-struct ToneMisses {
+/// One frame's nonzero scatterers, struct of arrays: tone i is the
+/// scatterer whose inputs sit at index i of every array. The arrays only
+/// grow, so a steady-state frame reuses their capacity (SynthScratch
+/// keeps one).
+struct ToneInputs {
   std::vector<double> x, y, radialOffsetM, amplitude, beatFreqOffsetHz,
       phaseOffsetRad, dTx;
-  std::vector<std::size_t> column;
   std::size_t count = 0;
 
-  /// Empties the list with room for \p capacity misses.
+  /// Empties the list with room for \p capacity tones.
   void reset(std::size_t capacity);
 
-  /// Appends \p s with its amplitude after path loss, its TX path length
-  /// and the column its chains take.
+  /// Appends \p s with its amplitude after path loss and its TX path
+  /// length.
   void push(const env::PointScatterer& s, double amplitudeAfterLoss,
-            double txPathM, std::size_t chainColumn);
+            double txPathM);
 };
 
-/// Writes the chains of every miss at every antenna (see above).
+/// Writes the chains of every tone at every antenna (see above).
 using ToneSetupFn = void (*)(const ToneGeometry& geometry,
-                             const ToneMisses& misses, ToneChain* chains,
+                             const ToneInputs& tones, ToneChain* chains,
                              std::size_t stride);
 
 /// Seed-exact setup (simd_kernels.cpp).
-void toneSetupScalar(const ToneGeometry& geometry, const ToneMisses& misses,
+void toneSetupScalar(const ToneGeometry& geometry, const ToneInputs& tones,
                      ToneChain* chains, std::size_t stride);
 
 /// Portable scalar emulation of the FMA-regime setup, with std::fma and
 /// std::sqrt: the memcmp oracle for toneSetupAvx2.
-void toneSetupFmaRef(const ToneGeometry& geometry, const ToneMisses& misses,
+void toneSetupFmaRef(const ToneGeometry& geometry, const ToneInputs& tones,
                      ToneChain* chains, std::size_t stride);
 
 /// sin and cos of \p x by the FMA-regime chain above (the reference the
@@ -235,10 +235,10 @@ void toneAccumChainsAvx2(Complex* dst, std::size_t n, const ToneChain* chains,
 void toneAccumChainsAvx512(Complex* dst, std::size_t n,
                            const ToneChain* chains, std::size_t count);
 
-/// Four misses per 256-bit vector, the last count % 4 as one masked
+/// Four tones per 256-bit vector, the last count % 4 as one masked
 /// block; each block runs every antenna (simd_kernels_avx2.cpp). The
 /// setup of both FMA levels; bit-identical to toneSetupFmaRef.
-void toneSetupAvx2(const ToneGeometry& geometry, const ToneMisses& misses,
+void toneSetupAvx2(const ToneGeometry& geometry, const ToneInputs& tones,
                    ToneChain* chains, std::size_t stride);
 
 /// Row- and angle-batched pair chains, bit-identical to

@@ -1,7 +1,7 @@
 /// \file simd_kernels_avx2.cpp
 /// AVX2+FMA radar kernels: two complex lanes per 256-bit vector, two
 /// vectors in flight for the four-lane tone chains, four angles per
-/// vector in beamforming and four memo misses per vector in the tone
+/// vector in beamforming and four tones per vector in the tone
 /// setup. Compiled with -mavx2 -mfma -ffp-contract=off; runtime-gated by
 /// cpuid. Every complex product of the tone chains is the vfmaddsub
 /// idiom specified by common/fma_complex.h, and beamforming and the tone
@@ -245,7 +245,7 @@ inline void storeField(ToneChain* const* out, std::size_t live, int j,
 
 }  // namespace
 
-void toneSetupAvx2(const ToneGeometry& g, const ToneMisses& m,
+void toneSetupAvx2(const ToneGeometry& g, const ToneInputs& m,
                    ToneChain* chains, std::size_t stride) {
   const double twoPi = 2.0 * rfp::common::pi();
   const __m256d speedOfLight = _mm256_set1_pd(rfp::common::kSpeedOfLight);
@@ -255,7 +255,7 @@ void toneSetupAvx2(const ToneGeometry& g, const ToneMisses& m,
   const __m256d dt = _mm256_set1_pd(g.sampleIntervalS);
   const __m256i laneIds = _mm256_set_epi64x(3, 2, 1, 0);
   for (std::size_t i = 0; i < m.count; i += 4) {
-    // The last count % 4 misses run as one block whose idle lanes load
+    // The last count % 4 tones run as one block whose idle lanes load
     // zeros and are never stored.
     const std::size_t live = std::min<std::size_t>(4, m.count - i);
     const __m256i mask = _mm256_cmpgt_epi64(
@@ -287,7 +287,7 @@ void toneSetupAvx2(const ToneGeometry& g, const ToneMisses& m,
       const Lanes p1 = plainMul(phasor, rot);
       ToneChain* out[4];
       for (std::size_t l = 0; l < live; ++l) {
-        out[l] = chains + k * stride + m.column[i + l];
+        out[l] = chains + k * stride + i + l;
       }
       storeField(out, live, 0, phasor);
       storeField(out, live, 1, p1);

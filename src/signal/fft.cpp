@@ -4,9 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/cache_budget.h"
 #include "common/constants.h"
@@ -127,20 +125,9 @@ StagePassFn stagePassForLevel(rfp::common::simd::KernelLevel level) {
 
 namespace {
 
-/// Plan cache with LRU eviction: a fleet of heterogeneous radar configs
-/// would otherwise accumulate one plan per distinct FFT size for the
-/// process lifetime. Plans are handed out as shared_ptr, so evicting a
-/// size a caller still holds is safe.
-struct PlanSlot {
-  std::shared_ptr<const FftPlan> plan;
-  std::uint64_t lastUse = 0;
-};
-
-std::mutex planMutex;
-std::unordered_map<std::size_t, PlanSlot> planCache;
-std::uint64_t planUseCounter = 0;
-std::size_t planCacheBytes = 0;
-
+/// Plan cache under the FFT half of the cache budget: a fleet of
+/// heterogeneous radar configs would otherwise accumulate one plan per
+/// distinct FFT size for the process lifetime.
 std::size_t planBytes(const FftPlan& plan) {
   return plan.twiddles.size() * sizeof(Complex) +
          plan.bitReverse.size() * sizeof(std::uint32_t) +
@@ -154,35 +141,9 @@ std::shared_ptr<const FftPlan> fftPlanFor(std::size_t n) {
     throw std::invalid_argument(
         "fftPlanFor: length must be a power of two >= 2");
   }
-  std::lock_guard<std::mutex> lock(planMutex);
-  auto it = planCache.find(n);
-  if (it == planCache.end()) {
-    it = planCache
-             .emplace(n, PlanSlot{std::make_shared<const FftPlan>(
-                                      buildPlan(n)),
-                                  0})
-             .first;
-    planCacheBytes += planBytes(*it->second.plan);
-    // Evict least-recently-used sizes (never the one just built) until
-    // the FFT half of the cache budget is respected.
-    const std::size_t cap = rfp::common::kCacheBudgetBytes / 2;
-    while (planCacheBytes > cap && planCache.size() > 1) {
-      auto victim = planCache.end();
-      for (auto jt = planCache.begin(); jt != planCache.end(); ++jt) {
-        if (jt == it) continue;
-        if (victim == planCache.end() ||
-            jt->second.lastUse < victim->second.lastUse) {
-          victim = jt;
-        }
-      }
-      if (victim == planCache.end()) break;
-      planCacheBytes -=
-          std::min(planBytes(*victim->second.plan), planCacheBytes);
-      planCache.erase(victim);
-    }
-  }
-  it->second.lastUse = ++planUseCounter;
-  return it->second.plan;
+  static rfp::common::LruCache<std::size_t, FftPlan> cache(
+      rfp::common::kCacheBudgetBytes / 2, &planBytes);
+  return cache.get(n, [n] { return buildPlan(n); });
 }
 
 void fftWindowedInto(const FftPlan& plan, std::span<const Complex> samples,

@@ -761,7 +761,7 @@ TEST(KernelTone, CrossRegimeDifferenceWithinDocumentedBound) {
 // against toneSetupFmaRef -- and the FMA regime's sin/cos against libm.
 
 using radar::detail::ToneGeometry;
-using radar::detail::ToneMisses;
+using radar::detail::ToneInputs;
 
 /// What Frontend hands the setup kernels for \p cfg.
 ToneGeometry toneGeometryOf(const radar::RadarConfig& cfg) {
@@ -770,7 +770,7 @@ ToneGeometry toneGeometryOf(const radar::RadarConfig& cfg) {
 
 /// The seed's inline per-(scatterer, antenna) setup, which the sse2
 /// kernel must reproduce bit for bit.
-void seedToneSetup(const radar::RadarConfig& cfg, const ToneMisses& m,
+void seedToneSetup(const radar::RadarConfig& cfg, const ToneInputs& m,
                    ToneChain* chains, std::size_t stride) {
   const double dt = 1.0 / cfg.chirp.sampleRateHz;
   const double sl = cfg.chirp.slope();
@@ -784,7 +784,7 @@ void seedToneSetup(const radar::RadarConfig& cfg, const ToneMisses& m,
       const double tau = (m.dTx[i] + dRx) / common::kSpeedOfLight;
       const double beatHz = sl * tau + m.beatFreqOffsetHz[i];
       const double basePhase = twoPi * f0 * tau + m.phaseOffsetRad[i];
-      chains[static_cast<std::size_t>(k) * stride + m.column[i]] =
+      chains[static_cast<std::size_t>(k) * stride + i] =
           radar::detail::toneChain(KernelLevel::kSse2,
                                    std::polar(m.amplitude[i], basePhase),
                                    std::polar(1.0, twoPi * beatHz * dt));
@@ -808,21 +808,12 @@ std::vector<radar::RadarConfig> toneSetupBands(int antennas) {
   return {paper, toy, mmWave};
 }
 
-/// \p count misses within \p reachM of a radar at (5, 0.05) in x and
-/// y, with negative radial offsets among them and amplitudes up to
-/// \p maxAmplitude, at distinct random columns of a stride-\p stride
-/// array.
-ToneMisses randomMisses(std::size_t count, std::size_t stride,
-                        common::Rng& rng, double reachM = 25.0,
-                        double maxAmplitude = 2.0) {
-  std::vector<std::size_t> columns(stride);
-  for (std::size_t c = 0; c < stride; ++c) columns[c] = c;
-  for (std::size_t c = stride; c > 1; --c) {
-    std::swap(columns[c - 1],
-              columns[static_cast<std::size_t>(
-                  rng.uniformInt(0, static_cast<int>(c) - 1))]);
-  }
-  ToneMisses m;
+/// \p count tones within \p reachM of a radar at (5, 0.05) in x and y,
+/// with negative radial offsets among them and amplitudes up to
+/// \p maxAmplitude.
+ToneInputs randomTones(std::size_t count, common::Rng& rng,
+                       double reachM = 25.0, double maxAmplitude = 2.0) {
+  ToneInputs m;
   m.reset(count);
   for (std::size_t i = 0; i < count; ++i) {
     env::PointScatterer s;
@@ -833,7 +824,7 @@ ToneMisses randomMisses(std::size_t count, std::size_t stride,
     s.phaseOffsetRad = rng.uniform(-40.0, 40.0);
     const double dTx = (s.position - common::Vec2{5.0, 0.05}).norm() +
                        s.radialOffsetM;
-    m.push(s, rng.uniform(1e-3, maxAmplitude), dTx, columns[i]);
+    m.push(s, rng.uniform(1e-3, maxAmplitude), dTx);
   }
   return m;
 }
@@ -856,13 +847,14 @@ std::vector<double> chainDoubles(const std::vector<ToneChain>& chains) {
 }
 
 /// The level's setup and its reference over \p m, from equal sentinel
-/// arrays three columns wider than the misses.
+/// arrays of rows \p stride columns wide: the columns past the last tone
+/// of every row, the last row's included, must keep their sentinels.
 struct SetupRun {
   std::vector<ToneChain> out, ref;
 };
 
 SetupRun runToneSetup(KernelLevel level, const radar::RadarConfig& cfg,
-                      const ToneMisses& m, std::size_t stride) {
+                      const ToneInputs& m, std::size_t stride) {
   const std::size_t antennas = static_cast<std::size_t>(cfg.numAntennas);
   SetupRun run{sentinelChains(antennas, stride),
                sentinelChains(antennas, stride)};
@@ -877,16 +869,17 @@ SetupRun runToneSetup(KernelLevel level, const radar::RadarConfig& cfg,
   return run;
 }
 
-// 0-17 misses cover an empty call, every four-lane tail and up to four
+// 0-17 tones cover an empty call, every four-lane tail and up to four
 // full vectors; 1-9 antennas; the paper, toy and mmWave bands, whose
-// phases reach about 10^5 rad.
+// phases reach about 10^5 rad. Each row has three sentinel columns past
+// its last tone.
 TEST(KernelToneSetup, EveryLevelBitIdenticalToItsReference) {
   common::Rng rng(2601);
   for (int antennas = 1; antennas <= 9; ++antennas) {
     for (const radar::RadarConfig& cfg : toneSetupBands(antennas)) {
       for (std::size_t count = 0; count <= 17; ++count) {
         const std::size_t stride = count + 3;
-        const ToneMisses m = randomMisses(count, stride, rng);
+        const ToneInputs m = randomTones(count, rng);
         for (KernelLevel level : simd::availableKernelLevels()) {
           const SetupRun run = runToneSetup(level, cfg, m, stride);
           ASSERT_EQ(std::memcmp(run.out.data(), run.ref.data(),
@@ -913,7 +906,7 @@ TEST(KernelToneSetup, NonFiniteInputsMatchTheReference) {
     for (std::size_t count : {1ul, 4ul, 5ul, 9ul, 17ul}) {
       const std::size_t stride = count + 2;
       for (int field = 0; field < 7; ++field) {
-        ToneMisses m = randomMisses(count, stride, rng);
+        ToneInputs m = randomTones(count, rng);
         const std::size_t i = count / 2;
         switch (field) {
           case 0: m.x[i] = inf; break;
@@ -986,8 +979,8 @@ TEST(KernelToneSetup, CrossRegimeWithinDocumentedBound) {
   for (const radar::RadarConfig& cfg : toneSetupBands(7)) {
     if (cfg.chirp.startHz > 10e9) continue;
     const std::size_t n = cfg.chirp.samplesPerChirp();
-    ToneMisses m = randomMisses(17, 17, rng, /*reachM=*/5.0,
-                                /*maxAmplitude=*/1.0);
+    ToneInputs m = randomTones(17, rng, /*reachM=*/5.0,
+                               /*maxAmplitude=*/1.0);
     for (double& r : m.radialOffsetM) r = std::min(r, 0.5);
     std::vector<ToneChain> sse2(7 * 17), fma(7 * 17);
     const ToneGeometry g = toneGeometryOf(cfg);

@@ -1,7 +1,7 @@
 /// \file test_parallel.cpp
 /// The thread pool and the shared caches (DESIGN.md Sec. 8): pool
 /// mechanics (sizing, index claiming, failures, nesting), counter-based
-/// receiver noise, and the steering/twiddle cache behavior.
+/// receiver noise, and the steering/twiddle caches and the LRU under them.
 
 #include <atomic>
 #include <chrono>
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cache_budget.h"
 #include "common/constants.h"
 #include "common/env_count.h"
 #include "common/thread_pool.h"
@@ -380,6 +381,57 @@ TEST(Caches, TwiddleTablesAreSharedPerSizeAndDistinctAcrossSizes) {
   for (std::size_t k = 0; k < spec.size(); ++k) {
     EXPECT_NEAR(std::abs(spec[k]), 1.0, 1e-12);
   }
+}
+
+/// An entry that reports \p bytes to the cache and carries \p id.
+struct Charged {
+  std::size_t bytes = 0;
+  int id = 0;
+};
+
+/// Each derived-data cache's cap.
+constexpr std::size_t kLruCap = common::kCacheBudgetBytes / 2;
+
+// The LRU under both derived-data caches, at their cap: entries that
+// report a third of it fit two at a time, so every third insertion
+// evicts the least recently used one, and an entry a caller still holds
+// stays valid after eviction.
+TEST(Caches, LruEvictsLeastRecentlyUsedAndHeldEntriesStayValid) {
+  common::LruCache<int, Charged> cache(
+      kLruCap, [](const Charged& c) { return c.bytes; });
+  int builds = 0;
+  const auto get = [&](int id, std::size_t bytes = kLruCap / 3 + 1) {
+    return cache.get(id, [&] {
+      ++builds;
+      return Charged{bytes, id};
+    });
+  };
+
+  const auto one = get(1);
+  const auto two = get(2);
+  EXPECT_EQ(get(1).get(), one.get());  // a hit: 1 is now newer than 2
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(cache.size(), 2u);
+
+  get(3);  // over the cap: evicts 2, the least recently used
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(get(1).get(), one.get());
+  EXPECT_EQ(builds, 3);
+  EXPECT_EQ(two->id, 2);  // evicted, still held, still valid
+  const auto twoAgain = get(2);  // rebuilt; evicts 3, now the oldest
+  EXPECT_EQ(builds, 4);
+  EXPECT_NE(twoAgain.get(), two.get());
+  get(1);
+  EXPECT_EQ(builds, 4);
+  get(3);
+  EXPECT_EQ(builds, 5);
+
+  // An entry over the cap on its own evicts every other entry and stays.
+  const auto huge = get(4, 2 * kLruCap);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(get(4).get(), huge.get());
+  EXPECT_EQ(one->id, 1);
+  EXPECT_EQ(twoAgain->id, 2);
 }
 
 TEST(Caches, SteeringCacheKeysOnProcessorGeometry) {
