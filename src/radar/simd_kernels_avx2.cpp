@@ -229,16 +229,15 @@ inline Lanes plainMul(Lanes a, Lanes b) {
 }
 
 /// Stores \p v, lane l, as complex value \p j (p[0..3], then step) of
-/// *out[l], for the first \p live lanes.
-inline void storeField(ToneChain* const* out, std::size_t live, int j,
-                       Lanes v) {
+/// out[l], for the first \p live lanes.
+inline void storeField(ToneChain* out, std::size_t live, int j, Lanes v) {
   const __m256d lo = _mm256_unpacklo_pd(v.re, v.im);  // lanes 0, 2
   const __m256d hi = _mm256_unpackhi_pd(v.re, v.im);  // lanes 1, 3
   const __m128d lane[4] = {
       _mm256_castpd256_pd128(lo), _mm256_castpd256_pd128(hi),
       _mm256_extractf128_pd(lo, 1), _mm256_extractf128_pd(hi, 1)};
   for (std::size_t l = 0; l < live; ++l) {
-    Complex* field = j < 4 ? &out[l]->p[j] : &out[l]->step;
+    Complex* field = j < 4 ? &out[l].p[j] : &out[l].step;
     _mm_storeu_pd(reinterpret_cast<double*>(field), lane[l]);
   }
 }
@@ -285,10 +284,7 @@ void toneSetupAvx2(const ToneGeometry& g, const ToneInputs& m,
              &rot.re);
       const Lanes rot2 = plainMul(rot, rot);
       const Lanes p1 = plainMul(phasor, rot);
-      ToneChain* out[4];
-      for (std::size_t l = 0; l < live; ++l) {
-        out[l] = chains + k * stride + i + l;
-      }
+      ToneChain* out = chains + k * stride + i;
       storeField(out, live, 0, phasor);
       storeField(out, live, 1, p1);
       storeField(out, live, 2, plainMul(phasor, rot2));
