@@ -25,6 +25,7 @@
 #include "privacy/mutual_information.h"
 #include "reflector/breathing_spoofer.h"
 #include "tracking/stitcher.h"
+#include "tracking/tracker.h"
 #include "trajectory/human_walk.h"
 
 namespace {
@@ -56,6 +57,7 @@ std::vector<std::pair<int, int>> runCampaign(bool protect, int epochs,
   trajectory::HumanWalkModel humanModel(walkOpts);
 
   core::EavesdropperRadar radar(scenario.sensing);
+  tracking::MultiTargetTracker tracker(scenario.sensing.tracker);
   core::RfProtectSystem system(scenario.makeController());
   core::GhostScheduler scheduler(
       {3, 0.5, epochS},
@@ -85,14 +87,16 @@ std::vector<std::pair<int, int>> runCampaign(bool protect, int epochs,
       }
       const auto scatterers = core::combineScatterers(
           environment, t - t0, rng, scenario.snapshot, injected);
-      radar.observe(scatterers, t, rng);
+      if (const auto obs = radar.observe(scatterers, t, rng)) {
+        tracker.update(obs->detections, t);
+      }
     }
   }
 
   // Count stitched chains covering >= 3 s of each epoch.
   tracking::StitchOptions stitchOpts;
   stitchOpts.minLength = 25;
-  const auto chains = tracking::stitchTracker(radar.tracker(), stitchOpts);
+  const auto chains = tracking::stitchTracker(tracker, stitchOpts);
 
   std::vector<std::pair<int, int>> result;
   for (int e = 0; e < epochs; ++e) {

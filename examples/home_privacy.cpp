@@ -13,6 +13,7 @@
 #include "core/rfprotect_system.h"
 #include "core/scenario.h"
 #include "tracking/stitcher.h"
+#include "tracking/tracker.h"
 #include "privacy/mutual_information.h"
 #include "privacy/occupancy_attack.h"
 #include "trajectory/human_walk.h"
@@ -38,6 +39,7 @@ int main() {
 
   // RF-Protect spoofs two phantoms.
   core::EavesdropperRadar radar(scenario.sensing);
+  tracking::MultiTargetTracker tracker(scenario.sensing.tracker);
   core::RfProtectSystem system(scenario.makeController());
   trajectory::HumanWalkModel ghostWalker;  // trajectory statistics source
   for (int g = 0; g < 2; ++g) {
@@ -53,12 +55,14 @@ int main() {
     const auto injected = system.injectAt(t);
     const auto scatterers = core::combineScatterers(
         environment, t, rng, scenario.snapshot, injected);
-    radar.observe(scatterers, t, rng);
+    if (const auto obs = radar.observe(scatterers, t, rng)) {
+      tracker.update(obs->detections, t);
+    }
   }
 
   tracking::StitchOptions stitchOpts;
   stitchOpts.minLength = 25;
-  const auto tracks = tracking::stitchTracker(radar.tracker(), stitchOpts);
+  const auto tracks = tracking::stitchTracker(tracker, stitchOpts);
   std::printf("True occupants           : 1\n");
   std::printf("Phantoms injected        : 2\n");
   std::printf("Eavesdropper's count     : %zu moving targets\n\n",

@@ -28,37 +28,22 @@ CpuFeatures detectCpuFeatures() {
   return f;
 }
 
-/// Compile-time default request, injected by the RFP_KERNEL_DEFAULT cmake
-/// cache variable; "auto" unless the build overrode it.
-const char* compiledDefaultRequest() {
-#ifdef RFP_KERNEL_DEFAULT
-  return RFP_KERNEL_DEFAULT;
-#else
-  return "auto";
-#endif
-}
-
-/// Resolves the startup level once: RFP_KERNEL env var, else the
-/// compiled default, else auto. Prints one-time stderr notes for
-/// unrecognized or unsupported requests (loud fallback, never a crash).
+/// Resolves the startup level once: the RFP_KERNEL env var, else auto.
+/// Prints one-time stderr notes for unrecognized or unsupported requests
+/// (loud fallback, never a crash).
 KernelLevel resolveStartupLevel() {
   const char* request = std::getenv("RFP_KERNEL");
-  const char* source = "RFP_KERNEL";
-  if (request == nullptr || request[0] == '\0') {
-    request = compiledDefaultRequest();
-    source = "RFP_KERNEL_DEFAULT";
-  }
   const KernelResolution res = resolveKernelLevel(request, cpuFeatures());
   if (res.requestUnrecognized) {
     std::fprintf(stderr,
-                 "[rfp] %s=\"%s\" not recognized (want sse2|avx2|avx512|"
-                 "auto); using auto -> %s\n",
-                 source, request, kernelLevelName(res.level));
+                 "[rfp] RFP_KERNEL=\"%s\" not recognized (want sse2|avx2|"
+                 "avx512|auto); using auto -> %s\n",
+                 request, kernelLevelName(res.level));
   } else if (res.requestedUnsupported) {
     std::fprintf(stderr,
-                 "[rfp] %s=\"%s\" exceeds this CPU's features (%s); "
+                 "[rfp] RFP_KERNEL=\"%s\" exceeds this CPU's features (%s); "
                  "falling back to %s\n",
-                 source, request, cpuFeatureString().c_str(),
+                 request, cpuFeatureString().c_str(),
                  kernelLevelName(res.level));
   }
   return res.level;

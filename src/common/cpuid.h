@@ -20,10 +20,8 @@
 /// test_kernels.
 ///
 /// The active level is resolved once, lazily, from the `RFP_KERNEL`
-/// environment variable ("sse2", "avx2", "avx512", or "auto"), falling
-/// back to the RFP_KERNEL_DEFAULT compile definition (cmake cache
-/// variable of the same name), else "auto" = widest level this CPU
-/// supports. Requesting a level the CPU cannot run falls back to the
+/// environment variable ("sse2", "avx2", "avx512", or "auto"); unset
+/// means "auto" = widest level this CPU supports. Requesting a level the CPU cannot run falls back to the
 /// widest supported one (with a one-time stderr note), so a binary built
 /// with AVX-512 kernels still starts cleanly on an SSE2-only box.
 
@@ -86,7 +84,7 @@ KernelResolution resolveKernelLevel(const char* request,
                                     const CpuFeatures& f);
 
 /// The process-wide active kernel level. Resolved once on first use from
-/// RFP_KERNEL / RFP_KERNEL_DEFAULT / auto (see file comment); every
+/// RFP_KERNEL, else auto (see file comment); every
 /// dispatched kernel family reads this on entry, so the whole stack
 /// switches levels together.
 KernelLevel activeKernelLevel();

@@ -6,32 +6,28 @@ EavesdropperRadar::EavesdropperRadar(SensingConfig config)
     : config_(config),
       frontend_(config.radar),
       processor_(config.radar, config.processor),
-      detector_(config.detector),
-      tracker_(config.tracker) {}
+      detector_(config.detector) {}
 
 std::optional<Observation> EavesdropperRadar::observe(
     std::span<const env::PointScatterer> scatterers, double timestampS,
     rfp::common::Rng& rng) {
-  return observeFrame(senseRaw(scatterers, timestampS, rng), timestampS);
-}
-
-std::optional<Observation> EavesdropperRadar::observeFrame(
-    radar::Frame frame, double timestampS) {
-  const radar::Frame* diff = processor_.backgroundDiff(frame);
-  if (diff == nullptr) return std::nullopt;
-
+  const radar::Frame frame = senseRaw(scatterers, timestampS, rng);
   Observation obs;
+  if (processFrame(frame, obs.map, obs.detections) == nullptr) {
+    return std::nullopt;
+  }
   obs.timestampS = timestampS;
-  processor_.processInto(*diff, obs.map, processorScratch_);
-  observeDetections(obs.map, timestampS, obs.detections);
   return obs;
 }
 
-void EavesdropperRadar::observeDetections(
-    const radar::RangeAngleMap& map, double timestampS,
+const radar::Frame* EavesdropperRadar::processFrame(
+    const radar::Frame& frame, radar::RangeAngleMap& map,
     std::vector<tracking::Detection>& detections) {
+  const radar::Frame* diff = processor_.backgroundDiff(frame);
+  if (diff == nullptr) return nullptr;
+  processor_.processInto(*diff, map, processorScratch_);
   detector_.detectInto(map, processor_, detectScratch_, detections);
-  tracker_.update(detections, timestampS);
+  return diff;
 }
 
 radar::Frame EavesdropperRadar::senseRaw(
@@ -53,9 +49,6 @@ void EavesdropperRadar::senseRawInto(
                            /*chirpIndex=*/0, synthScratch_);
 }
 
-void EavesdropperRadar::reset() {
-  processor_.resetBackground();
-  tracker_ = tracking::MultiTargetTracker(config_.tracker);
-}
+void EavesdropperRadar::reset() { processor_.resetBackground(); }
 
 }  // namespace rfp::core

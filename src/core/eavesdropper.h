@@ -1,17 +1,17 @@
 #pragma once
 
 /// \file eavesdropper.h
-/// The adversary of the threat model (paper Sec. 2) as one object: FMCW
-/// front end + processing pipeline + peak detector + multi-target tracker.
-/// The legitimate sensor reuses the same sensing stack (Sec. 11.3) -- the
-/// only difference is what it does with the ledger.
+/// The adversary's sensing stack (paper Sec. 2) as one object: FMCW front
+/// end + processing pipeline + peak detector. The legitimate sensor reuses
+/// the same stack (Sec. 11.3). A caller that extracts trajectories owns a
+/// tracking::MultiTargetTracker (built from SensingConfig::tracker) and
+/// feeds it each observation's detections; the spoofing-accuracy runs
+/// compare detections with the ghost's intended position and track
+/// nothing.
 ///
 /// The stack owns its synthesis, processing and detection scratch, so a
-/// frame loop on reused buffers allocates nothing in steady state. The
-/// observeFrame() pipeline is also exposed as its steps (backgroundDiff /
-/// processor().processInto / observeDetections) so a frame loop can run
-/// it on reused buffers without a second code path: observe() and
-/// observeFrame() are themselves composed from the same pieces.
+/// frame loop on reused buffers allocates nothing in steady state.
+/// observe() and the spoofing runner share one frame step, processFrame().
 
 #include <optional>
 #include <span>
@@ -26,7 +26,8 @@
 
 namespace rfp::core {
 
-/// Bundled configuration for a sensing stack.
+/// Bundled configuration for a sensing stack and the tracker its readers
+/// run on its detections.
 struct SensingConfig {
   radar::RadarConfig radar{};
   radar::ProcessorOptions processor{};
@@ -49,20 +50,21 @@ class EavesdropperRadar {
   const SensingConfig& config() const { return config_; }
   const radar::Processor& processor() const { return processor_; }
   const radar::Frontend& frontend() const { return frontend_; }
-  const tracking::MultiTargetTracker& tracker() const { return tracker_; }
 
   /// Senses one frame of the world. Returns std::nullopt for the very first
-  /// frame (background subtraction needs a predecessor). Tracker state is
-  /// updated with the frame's detections.
+  /// frame (background subtraction needs a predecessor).
   std::optional<Observation> observe(
       std::span<const env::PointScatterer> scatterers, double timestampS,
       rfp::common::Rng& rng);
 
-  /// Processes an externally synthesized (possibly corrupted) frame through
-  /// the same pipeline as observe(); the fault-injection harness uses this
-  /// to apply ADC saturation between synthesis and processing.
-  std::optional<Observation> observeFrame(radar::Frame frame,
-                                          double timestampS);
+  /// One synthesized frame through background subtraction, the
+  /// range-angle map (into \p map) and peak detection (into
+  /// \p detections, cleared first), on the stack's scratches. Returns the
+  /// difference frame, valid until the next call, or nullptr while
+  /// priming, when \p map and \p detections are left untouched.
+  const radar::Frame* processFrame(const radar::Frame& frame,
+                                   radar::RangeAngleMap& map,
+                                   std::vector<tracking::Detection>& detections);
 
   /// Raw frame synthesis without processing (for phase-level analyses such
   /// as breathing extraction, Fig. 14). Non-const: uses the stack's
@@ -77,26 +79,14 @@ class EavesdropperRadar {
                     std::span<const env::PointScatterer> scatterers,
                     double timestampS, rfp::common::Rng& rng);
 
-  /// Range-angle map without background subtraction (Fig. 10 visuals).
-  radar::RangeAngleMap mapOf(const radar::Frame& frame) const {
-    return processor_.process(frame);
-  }
-
-  // --- Steps of observeFrame() on reused storage ---
-
-  /// Background-subtraction phase: nullptr primes (first frame),
-  /// otherwise the internally stored difference frame, valid until the
-  /// next call.
+  /// processFrame()'s background-subtraction phase alone: nullptr primes
+  /// (first frame), otherwise the internally stored difference frame,
+  /// valid until the next call.
   const radar::Frame* backgroundDiff(const radar::Frame& frame) {
     return processor_.backgroundDiff(frame);
   }
 
-  /// Detection + tracking tail of observeFrame() over a processed map:
-  /// fills \p detections (cleared first) and advances the tracker.
-  void observeDetections(const radar::RangeAngleMap& map, double timestampS,
-                         std::vector<tracking::Detection>& detections);
-
-  /// Resets tracker and background state.
+  /// Forgets the background frame, so the next frame primes again.
   void reset();
 
  private:
@@ -104,7 +94,6 @@ class EavesdropperRadar {
   radar::Frontend frontend_;
   radar::Processor processor_;
   tracking::PeakDetector detector_;
-  tracking::MultiTargetTracker tracker_;
   radar::SynthScratch synthScratch_;
   radar::ProcessorScratch processorScratch_;
   tracking::DetectScratch detectScratch_;

@@ -172,12 +172,8 @@ struct SpoofEpochRunner::Impl {
     if (std::isfinite(faults.adcClipLevel)) {
       radar::applyAdcSaturation(frameBuf, faults.adcClipLevel);
     }
-    const radar::Frame* diff = radar.backgroundDiff(frameBuf);
-    if (diff == nullptr) return;
-    radar.processor().processInto(*diff, mapBuf, processorScratch);
-    lastDiff = diff;
-
-    radar.observeDetections(mapBuf, t, detections);
+    lastDiff = radar.processFrame(frameBuf, mapBuf, detections);
+    if (lastDiff == nullptr) return;
 
     const auto intended = system.intendedPosition(ghostId, t);
     if (!intended.has_value()) return;
@@ -220,7 +216,6 @@ struct SpoofEpochRunner::Impl {
   radar::Frame frameBuf;
   radar::RangeAngleMap mapBuf;
   std::vector<tracking::Detection> detections;
-  radar::ProcessorScratch processorScratch;
   const radar::Frame* lastDiff = nullptr;
 };
 
@@ -384,6 +379,7 @@ LegitSensingRunResult runLegitimateSensingExperiment(
   env::Environment environment(scenario.plan);
   environment.addHuman(env::TimedPath(humanPath, pathDt));
   EavesdropperRadar radar(scenario.sensing);
+  tracking::MultiTargetTracker eavesdropper(scenario.sensing.tracker);
   RfProtectSystem system(scenario.makeController());
   LegitimateSensor legit(scenario.sensing.tracker);
 
@@ -403,6 +399,7 @@ LegitSensingRunResult runLegitimateSensingExperiment(
     const auto obs = radar.observe(scatterers, t, rng);
     if (!obs.has_value()) continue;
 
+    eavesdropper.update(obs->detections, t);
     legit.update(obs->detections, t, system.ledger());
 
     result.humanTruth.push_back(environment.humans().front().positionAt(t));
@@ -415,8 +412,7 @@ LegitSensingRunResult runLegitimateSensingExperiment(
   // before counting -- the statistic occupancy eavesdroppers care about.
   tracking::StitchOptions stitchOpts;
   stitchOpts.minLength = 25;
-  const auto eavesChains =
-      tracking::stitchTracker(radar.tracker(), stitchOpts);
+  const auto eavesChains = tracking::stitchTracker(eavesdropper, stitchOpts);
   for (const auto& chain : eavesChains) {
     result.eavesdropperTrajectories.push_back(chain.history);
   }

@@ -8,6 +8,7 @@
 #include "core/harness.h"
 #include "core/rfprotect_system.h"
 #include "env/environment.h"
+#include "tracking/tracker.h"
 
 namespace rfp::core {
 
@@ -81,11 +82,13 @@ MultiRadarResult runMultiRadarConsistencyAttack(
   }
 
   std::vector<std::unique_ptr<EavesdropperRadar>> radars;
+  std::vector<tracking::MultiTargetTracker> trackers;
   for (const RadarPose& pose : poses) {
     SensingConfig cfg = scenario.sensing;
     cfg.radar.position = pose.position;
     cfg.radar.arrayAxis = pose.arrayAxis.normalized();
     radars.push_back(std::make_unique<EavesdropperRadar>(cfg));
+    trackers.emplace_back(cfg.tracker);
   }
 
   const double dt = 1.0 / scenario.sensing.radar.frameRateHz;
@@ -110,17 +113,17 @@ MultiRadarResult runMultiRadarConsistencyAttack(
                             : injected[std::min(r, injected.size() - 1)];
       const auto scatterers =
           combineScatterers(environment, t, rng, opts, inj);
-      radars[r]->observe(scatterers, t, rng);
+      if (const auto obs = radars[r]->observe(scatterers, t, rng)) {
+        trackers[r].update(obs->detections, t);
+      }
     }
   }
 
   constexpr std::size_t kMinTrack = 25;
-  const auto primaryTracks =
-      confirmedTracksOf(radars.front()->tracker(), kMinTrack);
+  const auto primaryTracks = confirmedTracksOf(trackers.front(), kMinTrack);
   std::vector<std::vector<const tracking::Track*>> secondaryTracks;
-  for (std::size_t r = 1; r < radars.size(); ++r) {
-    secondaryTracks.push_back(
-        confirmedTracksOf(radars[r]->tracker(), kMinTrack));
+  for (std::size_t r = 1; r < trackers.size(); ++r) {
+    secondaryTracks.push_back(confirmedTracksOf(trackers[r], kMinTrack));
   }
 
   MultiRadarResult result;

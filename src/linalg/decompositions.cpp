@@ -54,14 +54,9 @@ double luFactorizeInPlace(double* lu, std::size_t n, std::size_t* perm) {
   return permSign;
 }
 
-void requireSquare(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("LU factorization requires a square matrix");
-  }
-}
-
-}  // namespace
-
+/// Solves the n x n system A X = B by partially pivoted LU, with A and B
+/// (n x m) row-major, into \p x (n x m); \p a is overwritten with its LU
+/// factors.
 void luSolveInPlace(double* a, std::size_t n, const double* b,
                     std::size_t m, double* x) {
   std::size_t permInline[kInlineLuDim];
@@ -96,6 +91,14 @@ void luSolveInPlace(double* a, std::size_t n, const double* b,
     }
   }
 }
+
+void requireSquare(const Matrix& a) {
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("LU factorization requires a square matrix");
+  }
+}
+
+}  // namespace
 
 Matrix luSolve(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows()) {

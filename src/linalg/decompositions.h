@@ -5,7 +5,6 @@
 /// symmetric eigendecomposition (cyclic Jacobi), and the PSD matrix square
 /// root needed by the Frechet Inception Distance.
 
-#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -16,15 +15,6 @@ namespace rfp::linalg {
 /// \p b may have multiple columns. Throws std::invalid_argument on shape
 /// mismatch and std::runtime_error for a (numerically) singular A.
 Matrix luSolve(const Matrix& a, const Matrix& b);
-
-/// luSolve() on caller storage: solves the n x n system A X = B, with A
-/// and B (n x m) row-major, into \p x (n x m) by luSolve()'s pivoted
-/// steps, so the bits match. \p a is overwritten with its LU factors. For
-/// small fixed-size systems kept outside Matrix (SmallMatrix,
-/// small_matrix.h). Throws std::runtime_error for a (numerically)
-/// singular A.
-void luSolveInPlace(double* a, std::size_t n, const double* b,
-                    std::size_t m, double* x);
 
 /// Inverse of a square non-singular matrix via luSolve(A, I).
 Matrix inverse(const Matrix& a);

@@ -157,6 +157,41 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
   }
 }
 
+/// gemm()'s kernel for products under one micro-tile of work, on
+/// contiguous row-major storage: C (m x n) += alpha * op(A) * op(B), with
+/// op(A) m x k and op(B) k x n. Each element runs \p level's micro-tile
+/// chain -- k ascending, separate mul+add at the SSE2 baseline, one
+/// std::fma chain at the FMA levels -- against op()-indexed operands,
+/// skipping the packing round-trip (and its thread-local buffer traffic),
+/// which dominates below one tile of work; it is added to C once, so the
+/// bits equal the tiled kernel's.
+void directGemm(KernelLevel level, double* c, const double* a,
+                const double* b, std::size_t m, std::size_t n, std::size_t k,
+                bool transA, bool transB, double alpha) {
+  const bool fmaChain = level != KernelLevel::kSse2;
+  const std::size_t lda = transA ? m : k;
+  const std::size_t ldb = transB ? k : n;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      if (fmaChain) {
+        for (std::size_t p = 0; p < k; ++p) {
+          const double av = transA ? a[p * lda + i] : a[i * lda + p];
+          const double bv = transB ? b[j * ldb + p] : b[p * ldb + j];
+          acc = std::fma(av, bv, acc);
+        }
+      } else {
+        for (std::size_t p = 0; p < k; ++p) {
+          const double av = transA ? a[p * lda + i] : a[i * lda + p];
+          const double bv = transB ? b[j * ldb + p] : b[p * ldb + j];
+          acc += av * bv;
+        }
+      }
+      c[i * n + j] += alpha == 1.0 ? acc : alpha * acc;
+    }
+  }
+}
+
 /// Below this many multiply-adds the packed path is all overhead; one
 /// AVX-512 tile's worth (8x8x8). Perf threshold only -- both sides of the
 /// cut produce identical bits.
@@ -189,28 +224,6 @@ void prepareC(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
     c.fill(0.0);
   } else if (beta != 1.0) {
     for (double& v : c.data()) v *= beta;
-  }
-}
-
-/// Portable per-element FMA-chain kernel shared by the two FmaRef packing
-/// layouts: acc = fma(a_ik, b_kj, acc), k ascending -- exactly the chain
-/// the AVX2/AVX-512 tiles run per element.
-void microKernelFmaRefImpl(double* c, std::size_t ldc, const double* ap,
-                           const double* bp, std::size_t kDim,
-                           std::size_t mr, std::size_t nr, double alpha,
-                           std::size_t mrMax, std::size_t nrMax) {
-  for (std::size_t ir = 0; ir < mr; ++ir) {
-    for (std::size_t jr = 0; jr < nr; ++jr) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < kDim; ++k) {
-        acc = std::fma(ap[k * mrMax + ir], bp[k * nrMax + jr], acc);
-      }
-      if (alpha == 1.0) {
-        c[ir * ldc + jr] += acc;
-      } else {
-        c[ir * ldc + jr] += alpha * acc;
-      }
-    }
   }
 }
 
@@ -253,18 +266,6 @@ void microKernelSse2(double* c, std::size_t ldc, const double* ap,
       }
     }
   }
-}
-
-void microKernelFmaRef4(double* c, std::size_t ldc, const double* ap,
-                        const double* bp, std::size_t kDim, std::size_t mr,
-                        std::size_t nr, double alpha) {
-  microKernelFmaRefImpl(c, ldc, ap, bp, kDim, mr, nr, alpha, 4, 4);
-}
-
-void microKernelFmaRef8(double* c, std::size_t ldc, const double* ap,
-                        const double* bp, std::size_t kDim, std::size_t mr,
-                        std::size_t nr, double alpha) {
-  microKernelFmaRefImpl(c, ldc, ap, bp, kDim, mr, nr, alpha, 8, 8);
 }
 
 }  // namespace detail

@@ -31,7 +31,6 @@
 /// SSE2 level only by the documented product-rounding tolerance. Within
 /// any level, output stays bit-identical at every thread count.
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -59,47 +58,6 @@ GemmKernel gemmKernel();
 /// existing values before the final per-element addition.
 void gemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA = false,
           bool transB = false, double alpha = 1.0, double beta = 0.0);
-
-/// gemm()'s kernel for products under one micro-tile of work, on
-/// contiguous row-major storage: C (m x n) += alpha * op(A) * op(B), with
-/// op(A) m x k and op(B) k x n. Each element runs \p level's micro-tile
-/// chain -- k ascending, separate mul+add at the SSE2 baseline, one
-/// std::fma chain at the FMA levels -- and is added to C once, so over a
-/// zero-filled C the bits equal gemm()'s at that level. Exposed for small
-/// fixed-size operands kept outside Matrix (SmallMatrix, small_matrix.h),
-/// which skip gemm()'s per-call validation and Matrix wrapping. No
-/// argument checks; C must not alias A or B.
-inline void directGemm(common::simd::KernelLevel level, double* c,
-                       const double* a, const double* b, std::size_t m,
-                       std::size_t n, std::size_t k, bool transA = false,
-                       bool transB = false, double alpha = 1.0) {
-  // The level's micro-tile chain against op()-indexed operands, skipping
-  // the packing round-trip (and its thread-local buffer traffic), which
-  // dominates below one tile of work. Inline so fixed-size callers get
-  // the loops unrolled for their shapes.
-  const bool fmaChain = level != common::simd::KernelLevel::kSse2;
-  const std::size_t lda = transA ? m : k;
-  const std::size_t ldb = transB ? k : n;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      if (fmaChain) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const double av = transA ? a[p * lda + i] : a[i * lda + p];
-          const double bv = transB ? b[j * ldb + p] : b[p * ldb + j];
-          acc = std::fma(av, bv, acc);
-        }
-      } else {
-        for (std::size_t p = 0; p < k; ++p) {
-          const double av = transA ? a[p * lda + i] : a[i * lda + p];
-          const double bv = transB ? b[j * ldb + p] : b[p * ldb + j];
-          acc += av * bv;
-        }
-      }
-      c[i * n + j] += alpha == 1.0 ? acc : alpha * acc;
-    }
-  }
-}
 
 /// The seed-faithful naive kernel behind GemmKernel::kNaive, exposed so
 /// tests can compare the tiled kernel against it regardless of the global

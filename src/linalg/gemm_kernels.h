@@ -21,7 +21,7 @@
 ///  - microKernelAvx2 (4x4) / microKernelAvx512 (8x8): each element is a
 ///    single k-ascending fused-multiply-add chain, so the two vector
 ///    kernels are bit-identical to each other and to the portable
-///    microKernelFmaRef* emulations below.
+///    referenceGemmForLevel (gemm.h).
 
 #include <cstddef>
 
@@ -37,16 +37,6 @@ using MicroKernelFn = void (*)(double* c, std::size_t ldc, const double* ap,
 void microKernelSse2(double* c, std::size_t ldc, const double* ap,
                      const double* bp, std::size_t kDim, std::size_t mr,
                      std::size_t nr, double alpha);
-
-/// Portable scalar emulations of the FMA regime (gemm.cpp): one
-/// std::fma chain per element, in the 4x4 and 8x8 packing layouts. The
-/// memcmp oracles for the vector kernels.
-void microKernelFmaRef4(double* c, std::size_t ldc, const double* ap,
-                        const double* bp, std::size_t kDim, std::size_t mr,
-                        std::size_t nr, double alpha);
-void microKernelFmaRef8(double* c, std::size_t ldc, const double* ap,
-                        const double* bp, std::size_t kDim, std::size_t mr,
-                        std::size_t nr, double alpha);
 
 #if defined(RFP_X86_KERNELS)
 /// 4x4 AVX2+FMA tile (gemm_kernels_avx2.cpp; -mavx2 -mfma TU). Only

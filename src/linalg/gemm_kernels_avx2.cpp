@@ -3,7 +3,7 @@
 /// -ffp-contract=off (CMakeLists.txt): the *only* fused operations are
 /// the explicit _mm256_fmadd_pd calls below, so the kernel's rounding
 /// behaviour is exactly the documented FMA-regime spec -- each output
-/// element is one k-ascending fma chain (microKernelFmaRef4), and the
+/// element is one k-ascending fma chain (referenceGemmForLevel), and the
 /// alpha writeback uses separate mul+add roundings like every other
 /// level. Runtime-gated by cpuid: this TU's code never executes on a
 /// host without AVX2+FMA.

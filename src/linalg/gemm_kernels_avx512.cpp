@@ -3,7 +3,7 @@
 /// -ffp-contract=off; runtime-gated by cpuid. Same numeric regime as the
 /// AVX2 tile: every output element is one k-ascending fused
 /// multiply-add chain, so despite the wider tile the result is
-/// bit-identical to microKernelAvx2 / microKernelFmaRef8 element for
+/// bit-identical to microKernelAvx2 and referenceGemmForLevel element for
 /// element -- tile shape changes which elements are computed together,
 /// never the per-element operation sequence (DESIGN.md Sec. 13).
 

@@ -37,22 +37,6 @@ struct Frame {
     }
     return n;
   }
-
-  /// Element-wise difference (this - other); the paper's background
-  /// subtraction subtracts successive frames. Throws on shape mismatch.
-  Frame operator-(const Frame& other) const {
-    if (numAntennas() != other.numAntennas() ||
-        checkedSamplesPerChirp() != other.checkedSamplesPerChirp()) {
-      throw std::invalid_argument("Frame subtraction: shape mismatch");
-    }
-    Frame out = *this;
-    for (std::size_t k = 0; k < samples.size(); ++k) {
-      for (std::size_t n = 0; n < samples[k].size(); ++n) {
-        out.samples[k][n] -= other.samples[k][n];
-      }
-    }
-    return out;
-  }
 };
 
 }  // namespace rfp::radar

@@ -262,13 +262,6 @@ const Frame* Processor::backgroundDiff(const Frame& frame) {
   return &diff_;
 }
 
-std::optional<RangeAngleMap> Processor::processWithBackgroundSubtraction(
-    const Frame& frame) {
-  const Frame* diff = backgroundDiff(frame);
-  if (diff == nullptr) return std::nullopt;
-  return process(*diff);
-}
-
 void Processor::resetBackground() { hasPrevious_ = false; }
 
 }  // namespace rfp::radar

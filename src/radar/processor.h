@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/vec2.h"
@@ -100,9 +99,9 @@ struct ProcessorScratch {
 ///
 /// Thread-safety: process()/processInto() and the coordinate transforms
 /// are const and safe to call concurrently (with distinct scratches);
-/// backgroundDiff()/processWithBackgroundSubtraction() mutate the stored
-/// previous frame and must be externally serialized per instance (one
-/// eavesdropper pipeline = one frame sequence).
+/// backgroundDiff() mutates the stored previous frame and must be
+/// externally serialized per instance (one eavesdropper pipeline = one
+/// frame sequence).
 class Processor {
  public:
   Processor(RadarConfig config, ProcessorOptions options = {});
@@ -119,13 +118,8 @@ class Processor {
   void processInto(const Frame& frame, RangeAngleMap& out,
                    ProcessorScratch& scratch) const;
 
-  /// Range-angle map of (frame - previous frame); the first call returns
-  /// std::nullopt (nothing to subtract against yet) and primes the state.
-  std::optional<RangeAngleMap> processWithBackgroundSubtraction(
-      const Frame& frame);
-
-  /// The background-subtraction step alone, on reused storage: returns
-  /// nullptr on the priming call, afterwards a pointer to the internally
+  /// Background subtraction (the paper subtracts successive frames), on
+  /// reused storage: returns nullptr on the priming call, afterwards a pointer to the internally
   /// stored (frame - previous) difference, valid until the next call.
   /// Throws std::invalid_argument on shape mismatch with the primed frame
   /// and on a ragged frame (antennas with different sample counts), the

@@ -240,12 +240,11 @@ SubmitOutcome FleetEngine::submit(ScenarioSubmission submission) {
       archive_.push_back(std::move(slot));
       break;
   }
-  // WAL before ack: with syncOnSubmit the admission decision is durable
-  // before the caller sees the outcome, so an acked submission survives
-  // any kill. The one record carries the decision *and* its ledger
+  // WAL before ack: the admission decision is durable before the caller
+  // sees the outcome, so an acked submission survives any kill. The one record carries the decision *and* its ledger
   // entries, so a torn tail can never persist half an admission.
   if (journal_ != nullptr) {
-    journalSafely(journaled, config_.durability.syncOnSubmit);
+    journalSafely(journaled);
   }
   return out;
 }
@@ -351,7 +350,7 @@ std::size_t FleetEngine::step() {
     // would diverge.
     if (journal_ != nullptr) {
       roundRecord.ledger = ledgerEntriesSince(ledgerMark);
-      journalSafely(roundRecord, /*sync=*/true);
+      journalSafely(roundRecord);
     }
     return 0;
   }
@@ -434,7 +433,7 @@ std::size_t FleetEngine::step() {
     // summaries -- then the batched fsync: the journal's durability
     // frontier advances in round-sized steps.
     roundRecord.ledger = ledgerEntriesSince(ledgerMark);
-    journalSafely(roundRecord, /*sync=*/true);
+    journalSafely(roundRecord);
   }
   if (journal_ != nullptr &&
       ++roundsSinceSnapshot_ >= config_.durability.snapshotEveryRounds) {
@@ -590,11 +589,11 @@ std::vector<JournalLedgerEntry> FleetEngine::ledgerEntriesSince(
   return out;
 }
 
-void FleetEngine::journalSafely(const JournalRecord& record, bool sync) {
+void FleetEngine::journalSafely(const JournalRecord& record) {
   if (journal_ == nullptr) return;
   try {
     journal_->append(record);
-    if (sync) journal_->sync();
+    journal_->sync();
   } catch (const fault::StorageError& e) {
     degradeDurability(e);
   }

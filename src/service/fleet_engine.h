@@ -249,7 +249,8 @@ class FleetEngine {
   void retainMetric(Slot& slot, const EpochMetrics& m) const;
   void formatDurability();
   std::vector<JournalLedgerEntry> ledgerEntriesSince(std::size_t mark) const;
-  void journalSafely(const JournalRecord& record, bool sync);
+  /// Appends \p record to the journal and fsyncs it.
+  void journalSafely(const JournalRecord& record);
   void rotateDurability(std::uint64_t generation);
   EngineSnapshot buildEngineSnapshot(std::uint64_t generation) const;
   void snapshotNow();

@@ -50,11 +50,6 @@ struct DurabilityConfig {
   /// acked epoch if that epoch is still retained, else gap-marked.
   std::size_t retainMetricsEpochs = 256;
 
-  /// fsync the journal after every admission decision (so an acked
-  /// submission is never lost) in addition to the batched epoch-round
-  /// boundary sync. Off trades admission durability for submit latency.
-  bool syncOnSubmit = true;
-
   bool enabled() const { return !dir.empty(); }
 };
 

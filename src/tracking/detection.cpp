@@ -294,40 +294,4 @@ std::vector<Detection> PeakDetector::detect(
   return out;
 }
 
-std::vector<Detection> PeakDetector::detectCfar(
-    const radar::RangeAngleMap& map,
-    const radar::Processor& processor) const {
-  const std::size_t numRanges = map.numRanges();
-  const std::size_t train = options_.cfarTrainCells;
-  const std::size_t guard = options_.cfarGuardCells;
-
-  std::vector<std::pair<std::size_t, std::size_t>> candidates;
-  for (std::size_t a = 0; a < map.numAngles(); ++a) {
-    for (std::size_t r = 0; r < numRanges; ++r) {
-      // Average the training cells on both sides of the guard interval.
-      double sum = 0.0;
-      std::size_t count = 0;
-      for (std::size_t k = guard + 1; k <= guard + train; ++k) {
-        if (r >= k) {
-          sum += map.at(r - k, a);
-          ++count;
-        }
-        if (r + k < numRanges) {
-          sum += map.at(r + k, a);
-          ++count;
-        }
-      }
-      if (count == 0) continue;
-      const double local = sum / static_cast<double>(count);
-      if (map.at(r, a) > options_.cfarScale * local &&
-          isLocalMax(map, r, a)) {
-        candidates.emplace_back(r, a);
-      }
-    }
-  }
-  std::vector<Detection> out;
-  suppressAndConvert(map, processor, candidates, out);
-  return out;
-}
-
 }  // namespace rfp::tracking

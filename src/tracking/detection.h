@@ -4,7 +4,7 @@
 /// Peak extraction from range-angle power profiles. The paper (Sec. 9.1)
 /// notes peaks "can be sporadic with intermittent noise", so the detector
 /// combines a noise-floor threshold, local-maximum tests, and non-maximum
-/// suppression; a cell-averaging CFAR variant is provided as well.
+/// suppression.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,10 +45,6 @@ struct DetectorOptions {
   std::size_t maxDetections = 8;  ///< strongest peaks kept per frame
   double minSeparationM = 0.6;    ///< NMS radius in range
   double minSeparationRad = 0.35; ///< NMS radius in angle
-  /// CFAR parameters (used by detectCfar).
-  std::size_t cfarTrainCells = 12;
-  std::size_t cfarGuardCells = 3;
-  double cfarScale = 6.0;
   /// When set, detections resolving outside this region are discarded.
   std::optional<WorldBounds> bounds;
   /// Keep only peaks within this many dB of the frame's strongest detection
@@ -99,12 +95,6 @@ class PeakDetector {
   void detectInto(const radar::RangeAngleMap& map,
                   const radar::Processor& processor, DetectScratch& scratch,
                   std::vector<Detection>& out) const;
-
-  /// Cell-averaging CFAR along the range dimension of each angle column,
-  /// followed by the same local-max/NMS logic. More adaptive to a range-
-  /// dependent noise floor.
-  std::vector<Detection> detectCfar(const radar::RangeAngleMap& map,
-                                    const radar::Processor& processor) const;
 
  private:
   /// Sorts \p candidates strongest-first in place and fills \p out.

@@ -6,8 +6,9 @@
 /// Kalman Filters" for trajectory extraction; the legitimate sensor and the
 /// evaluation harness reuse the same filter.
 
+#include <array>
+
 #include "common/vec2.h"
-#include "linalg/small_matrix.h"
 
 namespace rfp::tracking {
 
@@ -18,13 +19,25 @@ struct KalmanOptions {
   double initialVelocitySigma = 1.5;  ///< prior on unknown velocity [m/s]
 };
 
+/// Position and velocity along one axis with their covariance, row-major
+/// with position first: p = {var(pos), cov(pos, vel), cov(vel, pos),
+/// var(vel)}. The two off-diagonal entries are kept apart because the
+/// filter's arithmetic does not round them alike.
+struct KalmanAxis {
+  double pos = 0.0;
+  double vel = 0.0;
+  std::array<double, 4> p{};
+};
+
 /// State [x, y, vx, vy] with position-only measurements.
 ///
-/// The algebra runs on linalg::SmallMatrix, whose products and solves
-/// take gemm()'s and luSolve()'s steps at the active kernel level
-/// (DESIGN.md Sec. 13), so state, covariance and gate distance have the
-/// bits of the same filter written on linalg::Matrix (with the default
-/// GemmKernel::kTiled).
+/// The model, noise and measurement matrices are block diagonal per axis,
+/// so the 4x4 filter is two independent (position, velocity) filters. Each
+/// runs in plain double arithmetic: every entry sums the nonzero terms of
+/// its 4x4 product in that product's order, from a +0 start, which gives
+/// the 4x4 filter's bits as linalg::Matrix computes them at the sse2
+/// kernel level, zero signs included, whatever level is active. The
+/// cross-axis entries the 4x4 filter carries are exactly +0 throughout.
 class KalmanFilter2D {
  public:
   /// Initializes at a first measured position with zero velocity and a
@@ -38,20 +51,20 @@ class KalmanFilter2D {
   /// Measurement update with an observed position.
   void update(rfp::common::Vec2 measuredPosition);
 
-  rfp::common::Vec2 position() const;
-  rfp::common::Vec2 velocity() const;
+  rfp::common::Vec2 position() const { return {x_.pos, y_.pos}; }
+  rfp::common::Vec2 velocity() const { return {x_.vel, y_.vel}; }
 
   /// Innovation Mahalanobis distance of a candidate measurement given the
   /// current (predicted) state; used for gating during data association.
   double mahalanobis(rfp::common::Vec2 measuredPosition) const;
 
-  const linalg::SmallMatrix<4, 1>& state() const { return x_; }
-  const linalg::SmallMatrix<4, 4>& covariance() const { return p_; }
+  const KalmanAxis& xAxis() const { return x_; }
+  const KalmanAxis& yAxis() const { return y_; }
 
  private:
   KalmanOptions options_;
-  linalg::SmallMatrix<4, 1> x_;  ///< state
-  linalg::SmallMatrix<4, 4> p_;  ///< covariance
+  KalmanAxis x_;
+  KalmanAxis y_;
 };
 
 }  // namespace rfp::tracking

@@ -230,23 +230,20 @@ TEST(FrontendFrames, OfficeFramesMatchAcrossLevelsAndFmaWidths) {
 // Steady-state frame: no heap allocation
 // ---------------------------------------------------------------------------
 
-/// Heap allocations made by the eavesdropper's frame loop on reused
+/// Heap allocations made by the spoofing runner's frame on reused
 /// buffers: the scene with a walking human and the reflector's injected
-/// scatterers (so both image paths run), synthesis, background
-/// subtraction, the range-angle map and peak detection. The
-/// first pass warms every buffer; the second replays the same frames
-/// (same injections, same draws) and is the one counted.
+/// scatterers (so both image paths run), synthesis, and the stack's frame
+/// step (background subtraction, the range-angle map and peak
+/// detection). The first pass warms every buffer; the second replays the
+/// same frames (same injections, same draws) and is the one counted.
 std::size_t steadyStateFrameAllocs(const char* text, std::size_t frames) {
   Home home(text);
   home.environment.addHuman(env::TimedPath({{2.0, 1.5}, {4.0, 3.0}}, 1.0));
   core::EavesdropperRadar radar(home.scenario.sensing);
-  const tracking::PeakDetector detector(home.scenario.sensing.detector);
   std::vector<std::vector<env::PointScatterer>> injected(frames);
   std::vector<env::PointScatterer> scene;
   radar::Frame frame;
   radar::RangeAngleMap map;
-  radar::ProcessorScratch scratch;
-  tracking::DetectScratch detectScratch;
   std::vector<tracking::Detection> detections;
   const rfp::common::Rng start = home.rng;
   std::size_t allocs = 0;
@@ -261,11 +258,7 @@ std::size_t steadyStateFrameAllocs(const char* text, std::size_t frames) {
       core::combineScatterersInto(scene, home.environment, t, home.rng,
                                   home.scenario.snapshot, injected[f]);
       radar.senseRawInto(frame, scene, t, home.rng);
-      if (const radar::Frame* diff = radar.backgroundDiff(frame)) {
-        radar.processor().processInto(*diff, map, scratch);
-        detector.detectInto(map, radar.processor(), detectScratch,
-                            detections);
-      }
+      radar.processFrame(frame, map, detections);
       g_countAllocs.store(false);
       allocs += g_allocCount.load();
     }

@@ -12,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "linalg/decompositions.h"
 #include "linalg/gemm.h"
-#include "linalg/small_matrix.h"
 
 namespace rfp::linalg {
 namespace {
@@ -329,80 +328,6 @@ TEST(GemmInPlace, EnsureShapeReusesCapacityAndZeroFills) {
       EXPECT_EQ(m(r, c), 0.0);  // reshapes zero the contents
     }
   }
-}
-
-// --- SmallMatrix -------------------------------------------------------------
-// Fixed-size operands must give the bits the same expression gives on
-// Matrix (default kTiled kernel) at every kernel level.
-
-template <std::size_t R, std::size_t C>
-Matrix toMatrix(const SmallMatrix<R, C>& s) {
-  Matrix m(R, C);
-  for (std::size_t r = 0; r < R; ++r) {
-    for (std::size_t c = 0; c < C; ++c) m(r, c) = s(r, c);
-  }
-  return m;
-}
-
-template <std::size_t R, std::size_t C>
-SmallMatrix<R, C> lcgSmall(std::uint64_t seed) {
-  Matrix m(R, C);
-  lcgFill(m, seed);
-  SmallMatrix<R, C> s;
-  std::memcpy(s.v.data(), m.data().data(), sizeof(s.v));
-  return s;
-}
-
-template <std::size_t R, std::size_t C>
-bool bitIdentical(const SmallMatrix<R, C>& s, const Matrix& m) {
-  return bitIdentical(toMatrix(s), m);
-}
-
-TEST(SmallMatrix, MatchesMatrixBitForBitAtEveryLevel) {
-  namespace simd = common::simd;
-  const simd::KernelLevel saved = simd::activeKernelLevel();
-  for (const simd::KernelLevel level : simd::availableKernelLevels()) {
-    simd::setActiveKernelLevel(level);
-    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-      const auto a = lcgSmall<3, 5>(4 * seed);
-      const auto b = lcgSmall<5, 2>(4 * seed + 1);
-      const auto c = lcgSmall<3, 3>(4 * seed + 2);
-      const auto d = lcgSmall<3, 2>(4 * seed + 3);
-      const Matrix am = toMatrix(a);
-      const Matrix bm = toMatrix(b);
-      const Matrix cm = toMatrix(c);
-      const Matrix dm = toMatrix(d);
-      const char* name = simd::kernelLevelName(level);
-      EXPECT_TRUE(bitIdentical(a * b, am * bm)) << name << " seed " << seed;
-      EXPECT_TRUE(bitIdentical(a.transposed(), am.transposed())) << name;
-      EXPECT_TRUE(bitIdentical(c + c * 0.5 - SmallMatrix<3, 3>::identity(),
-                               cm + cm * 0.5 - Matrix::identity(3)))
-          << name << " seed " << seed;
-      // A 3x3 solve pivots on most seeds; a seed that gives a singular
-      // matrix must be rejected by both forms.
-      bool smallThrew = false;
-      bool matrixThrew = false;
-      SmallMatrix<3, 2> x;
-      Matrix xm;
-      try {
-        x = luSolve(c, d);
-      } catch (const std::runtime_error&) {
-        smallThrew = true;
-      }
-      try {
-        xm = luSolve(cm, dm);
-      } catch (const std::runtime_error&) {
-        matrixThrew = true;
-      }
-      ASSERT_EQ(smallThrew, matrixThrew) << name << " seed " << seed;
-      if (!smallThrew) {
-        EXPECT_TRUE(bitIdentical(x, xm)) << name << " seed " << seed;
-      }
-    }
-  }
-  simd::setActiveKernelLevel(saved);
-  EXPECT_THROW(luSolve(SmallMatrix<2, 2>{}, SmallMatrix<2, 1>{}),
-               std::runtime_error);
 }
 
 }  // namespace
